@@ -47,6 +47,12 @@ class RegisterFile
     SeqNum lastWriter(RegId r) const { return regs_[r].lastWriter; }
 
     /**
+     * Slice-buffer index of @p r's last writer; meaningful only while
+     * @p r is poisoned (its last writer is then a deferred slice entry).
+     */
+    uint32_t lastSliceIdx(RegId r) const { return regs_[r].sliceIdx; }
+
+    /**
      * Unconditional write (in-order/tail path): sets the value, clears
      * poison, and stamps the last-writer sequence number.
      */
@@ -62,16 +68,20 @@ class RegisterFile
 
     /**
      * Poisoning write (advance path, miss-dependent destination): marks
-     * the register poisoned and stamps the last-writer sequence number —
-     * the stamp is what later gates the rally's merge (Section 3.1).
+     * the register poisoned and stamps the last writer — its sequence
+     * number, which later gates the rally's merge (Section 3.1), and the
+     * slice-buffer index @p slice_idx of the deferred entry that will
+     * produce the value, which links younger readers to it.
      */
     void
-    writePoisoned(RegId r, PoisonMask poison_bits, SeqNum seq)
+    writePoisoned(RegId r, PoisonMask poison_bits, SeqNum seq,
+                  uint32_t slice_idx)
     {
         if (r == 0)
             return;
         regs_[r].poison = poison_bits;
         regs_[r].lastWriter = seq;
+        regs_[r].sliceIdx = slice_idx;
     }
 
     /**
@@ -172,6 +182,7 @@ class RegisterFile
     {
         RegVal value = 0;
         SeqNum lastWriter = 0;
+        uint32_t sliceIdx = 0; ///< see lastSliceIdx()
         PoisonMask poison = 0;
     };
 

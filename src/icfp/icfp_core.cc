@@ -214,11 +214,9 @@ ICfpCore::tailLoad(const DynInst &di)
         entry.traceIdx = static_cast<uint32_t>(tailIdx_);
         entry.seq = seq;
         entry.poison = fwd.poison;
-        entry.src1Captured = true;
-        entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
-        entry.src2Captured = true;
-        slice_.push(entry);
-        rf0_.writePoisoned(di.dst, fwd.poison, seq);
+        entry.src[0].val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
+        const uint32_t idx = slice_.push(entry);
+        rf0_.writePoisoned(di.dst, fwd.poison, seq, idx);
         ++result_.slicedInsts;
         return true;
     }
@@ -255,11 +253,9 @@ ICfpCore::tailLoad(const DynInst &di)
         entry.traceIdx = static_cast<uint32_t>(tailIdx_);
         entry.seq = seq;
         entry.poison = mask;
-        entry.src1Captured = true;
-        entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
-        entry.src2Captured = true;
-        slice_.push(entry);
-        rf0_.writePoisoned(di.dst, mask, seq);
+        entry.src[0].val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
+        const uint32_t idx = slice_.push(entry);
+        rf0_.writePoisoned(di.dst, mask, seq, idx);
         pending_.push(r.doneAt, mask);
         ++result_.slicedInsts;
         return true;
@@ -329,18 +325,8 @@ ICfpCore::divertToSlice(const DynInst &di, PoisonMask poison)
     entry.traceIdx = static_cast<uint32_t>(tailIdx_);
     entry.seq = seq;
     entry.poison = poison;
-    entry.src1Captured =
-        di.src1 == kNoReg || rf0_.poison(di.src1) == 0;
-    if (entry.src1Captured && di.src1 != kNoReg)
-        entry.src1Val = rf0_.read(di.src1);
-    else if (!entry.src1Captured)
-        entry.src1Producer = rf0_.lastWriter(di.src1);
-    entry.src2Captured =
-        di.src2 == kNoReg || rf0_.poison(di.src2) == 0;
-    if (entry.src2Captured && di.src2 != kNoReg)
-        entry.src2Val = rf0_.read(di.src2);
-    else if (!entry.src2Captured)
-        entry.src2Producer = rf0_.lastWriter(di.src2);
+    SliceBuffer::captureSource(entry.src[0], rf0_, di.src1);
+    SliceBuffer::captureSource(entry.src[1], rf0_, di.src2);
 
     if (di.isStore()) {
         // Address known, data poisoned: allocate (and chain) the store
@@ -359,10 +345,9 @@ ICfpCore::divertToSlice(const DynInst &di, PoisonMask poison)
         }
     }
 
+    const uint32_t idx = slice_.push(entry);
     if (di.hasDst())
-        rf0_.writePoisoned(di.dst, poison, seq);
-
-    slice_.push(entry);
+        rf0_.writePoisoned(di.dst, poison, seq, idx);
     ++result_.slicedInsts;
     return true;
 }
@@ -598,11 +583,11 @@ ICfpCore::resolveEntry(SliceEntry &entry, size_t pos, const DynInst &di,
     if (di.hasDst()) {
         // Publish the result for younger slice consumers (scratch register
         // file + bypass network): deliver straight into every buffered
-        // entry that recorded this instruction as a source producer. New
-        // consumers can never want it later — a register stays poisoned
-        // only while its last writer is still deferred, so anything
-        // diverted after this point captures from RF0 instead.
-        slice_.deliverFrom(pos, entry.seq, value, ready_at);
+        // entry linked to this one as a source producer. New consumers
+        // can never want it later — a register stays poisoned only while
+        // its last writer is still deferred, so anything diverted after
+        // this point captures from RF0 instead.
+        slice_.deliver(pos, value, ready_at);
         // Sequence-gated merge into the main register file: lands only if
         // this instruction is still the register's last writer (Figure 3).
         if (rf0_.writeGated(di.dst, value, entry.seq))
@@ -613,7 +598,7 @@ ICfpCore::resolveEntry(SliceEntry &entry, size_t pos, const DynInst &di,
 }
 
 void
-ICfpCore::rePoisonEntry(SliceEntry &entry, const DynInst &di,
+ICfpCore::rePoisonEntry(SliceEntry &entry, size_t pos, const DynInst &di,
                         PoisonMask bits)
 {
     // Inputs still missing: re-poison the entry in place for a later pass
@@ -624,7 +609,8 @@ ICfpCore::rePoisonEntry(SliceEntry &entry, const DynInst &di,
     entry.poison = bits;
     if (di.hasDst() && rf0_.lastWriter(di.dst) == entry.seq &&
         rf0_.poison(di.dst) != 0) {
-        rf0_.writePoisoned(di.dst, bits, entry.seq);
+        rf0_.writePoisoned(di.dst, bits, entry.seq,
+                           static_cast<uint32_t>(pos));
     }
     if (di.isStore())
         csb_.updatePoison(entry.storeSsn, bits);
@@ -639,33 +625,29 @@ ICfpCore::rallyExec(SliceEntry &entry, size_t pos)
 
     // Gather operands. Captured sources travel with the entry (insert-time
     // side inputs, or values resolveEntry() delivered over the bypass when
-    // their producer resolved); a still-uncaptured source names a producer
-    // that is itself still deferred in the slice buffer. A delivered value
-    // is usable only from its bypass readyAt cycle on.
+    // their producer resolved); a still-uncaptured source links to a
+    // producer that is itself still deferred in the slice buffer. A
+    // delivered value is usable only from its bypass readyAt cycle on.
     PoisonMask still_poisoned = 0;
-    if (!entry.src1Captured) {
-        SliceEntry *producer = slice_.findBySeq(entry.src1Producer);
-        ICFP_ASSERT(producer != nullptr && producer->active);
-        still_poisoned |= producer->poison;
-    } else if (entry.src1ReadyAt > cycle_) {
-        return RallyOutcome::Stall;
-    }
-    if (!entry.src2Captured) {
-        SliceEntry *producer = slice_.findBySeq(entry.src2Producer);
-        ICFP_ASSERT(producer != nullptr && producer->active);
-        still_poisoned |= producer->poison;
-    } else if (entry.src2ReadyAt > cycle_) {
-        return RallyOutcome::Stall;
+    for (const SliceSource &source : entry.src) {
+        if (!source.captured()) {
+            const SliceEntry &producer = slice_.at(source.producer);
+            ICFP_ASSERT(producer.active &&
+                        producer.seq == source.producerSeq);
+            still_poisoned |= producer.poison;
+        } else if (source.readyAt > cycle_) {
+            return RallyOutcome::Stall;
+        }
     }
 
     if (still_poisoned != 0) {
         ICFP_ASSERT(icfp_.nonBlockingRally);
-        rePoisonEntry(entry, di, still_poisoned);
+        rePoisonEntry(entry, pos, di, still_poisoned);
         return RallyOutcome::RePoisoned;
     }
 
-    const RegVal a = entry.src1Val;
-    const RegVal b = entry.src2Val;
+    const RegVal a = entry.src[0].val;
+    const RegVal b = entry.src[1].val;
 
     switch (di.op) {
       case Opcode::Ld: {
@@ -678,7 +660,7 @@ ICfpCore::rallyExec(SliceEntry &entry, size_t pos)
         if (fwd.found) {
             if (fwd.poisoned) {
                 ICFP_ASSERT(icfp_.nonBlockingRally);
-                rePoisonEntry(entry, di, fwd.poison);
+                rePoisonEntry(entry, pos, di, fwd.poison);
                 return RallyOutcome::RePoisoned;
             }
             ICFP_ASSERT(fwd.value == di.result());
@@ -698,7 +680,7 @@ ICfpCore::rallyExec(SliceEntry &entry, size_t pos)
             const PoisonMask mask =
                 poisonBitMask(r.poisonBit, icfp_.poisonBits);
             pending_.push(r.doneAt, mask);
-            rePoisonEntry(entry, di, mask);
+            rePoisonEntry(entry, pos, di, mask);
             return RallyOutcome::RePoisoned;
         }
         const RegVal value = memImage_.read(addr);
@@ -955,19 +937,6 @@ ICfpCore::run(const Trace &trace)
 
     while (tailIdx_ < traceLen_ || inEpoch_ || !csb_.empty()) {
         ICFP_ASSERT(cycle_ < kMaxRunCycles);
-#ifdef ICFP_DEBUG_LOOP
-        if (cycle_ % 1000000 == 999999) {
-            std::fprintf(stderr,
-                "DBG c=%lu tail=%zu epoch=%d pass=%d passPos=%zu sliceOcc=%zu "
-                "active=%zu sra=%d sraWp=%d wp=%d pend=%zu ret=%x csb=%u "
-                "fetch=%lu rblk=%lu\n",
-                cycle_, tailIdx_, int(inEpoch_), int(passActive_), passPos_,
-                slice_.occupancy(), slice_.activeCount(), int(simpleRa_),
-                int(sraWrongPath_), int(wrongPath_), pending_.size(),
-                unsigned(returnedBits_), csb_.occupancy(), fetchReadyAt_,
-                rallyBlockedUntil_);
-        }
-#endif
         slots_.reset();
 
         const bool miss_returned = processMissReturns();

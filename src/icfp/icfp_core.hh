@@ -106,7 +106,7 @@ class ICfpCore : public CoreBase
     RallyOutcome rallyExec(SliceEntry &entry, size_t pos);
     void resolveEntry(SliceEntry &entry, size_t pos, const DynInst &di,
                       RegVal value, Cycle ready_at);
-    void rePoisonEntry(SliceEntry &entry, const DynInst &di,
+    void rePoisonEntry(SliceEntry &entry, size_t pos, const DynInst &di,
                        PoisonMask bits);
 
     // --- epoch control -----------------------------------------------------
@@ -127,13 +127,14 @@ class ICfpCore : public CoreBase
 
     // Slice-internal value delivery models the scratch register file
     // (RF1, the borrowed thread context) plus the bypass network.
-    // Consumers record their producers' sequence numbers at slice
-    // insertion; when a producer resolves, resolveEntry() broadcasts its
-    // value directly into the (younger, still-buffered) consumer entries
-    // — so WAW clobbering of a shared architectural register between
-    // rally passes cannot mis-deliver, and no per-epoch lookup table is
-    // needed at all (the former std::unordered_map<SeqNum, ...> was a
-    // measurable share of replay time on rally-heavy benchmarks).
+    // A consumer links to its producer's slice index at insertion (RF0
+    // keeps each poisoned register's last-writer index); when the
+    // producer resolves, resolveEntry() walks the producer's consumer
+    // list and delivers its value straight into those (younger,
+    // still-buffered) entries — so WAW clobbering of a shared
+    // architectural register between rally passes cannot mis-deliver,
+    // and neither a rally's producer-poison check nor a delivery
+    // searches or scans the buffer (slice_buffer.hh).
 
     ChainedStoreBuffer csb_;
     SliceBuffer slice_;

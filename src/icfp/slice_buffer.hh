@@ -11,11 +11,23 @@
  * from the head, so successive passes make the buffer increasingly sparse
  * — banking makes skipping un-poisoned entries cheap (modeled as a
  * skip-bandwidth parameter in the core).
+ *
+ * Slice-internal dataflow is indexed, not searched. Every entry has a
+ * fixed absolute index from push() until the next clear(); a source read
+ * from a poisoned register links, at push, to the entry that will produce
+ * it (the register's last writer, found through the register file's
+ * lastSliceIdx()), and the producer heads a list of its (consumer, source
+ * slot) pairs. A rally reads a producer's poison in O(1), and a resolved
+ * producer delivers its value by walking its own list. Indices stay valid
+ * because the buffer only grows between clear() calls: it reclaims from
+ * the head and resets only once no entry is active, when no register is
+ * poisoned and so none can still name an old index.
  */
 
 #ifndef ICFP_ICFP_SLICE_BUFFER_HH
 #define ICFP_ICFP_SLICE_BUFFER_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -26,30 +38,44 @@
 
 namespace icfp {
 
+/** No slice index: a captured source's producer, an empty list's end. */
+inline constexpr uint32_t kNoSliceIdx = ~uint32_t{0};
+
+/**
+ * One source operand of a deferred instruction. A captured source was
+ * miss-independent when the entry was inserted (or was delivered when
+ * its producer resolved) and its value travels with the entry. An
+ * uncaptured source is produced by an older, still-deferred entry: the
+ * source names it by sequence number and slice index and sits on its
+ * consumer list until the value arrives through the scratch register
+ * file / bypass network. A delivered value becomes *usable* only at its
+ * readyAt cycle (the producer's completion time on the bypass).
+ */
+struct SliceSource
+{
+    RegVal val = 0;
+    Cycle readyAt = 0;
+    SeqNum producerSeq = 0;          ///< last writer of an uncaptured source
+    uint32_t producer = kNoSliceIdx; ///< its slice index; none once captured
+    uint32_t next = kNoSliceIdx;     ///< next link on the producer's list
+
+    bool captured() const { return producer == kNoSliceIdx; }
+};
+
 /** One deferred miss-dependent instruction and its captured side inputs. */
 struct SliceEntry
 {
     uint32_t traceIdx = 0;   ///< dynamic instruction this entry defers
+    /**
+     * Head of the list of sources that read this entry's result, each
+     * link encoded as consumer index × 2 + source slot.
+     */
+    uint32_t consumers = kNoSliceIdx;
     SeqNum seq = 0;          ///< program-order sequence (global)
     PoisonMask poison = 0;   ///< poison bits this entry currently waits on
     bool active = true;      ///< false once successfully re-executed
 
-    // Operand capture: a captured source was miss-independent when the
-    // entry was inserted (or was delivered by its producer's rally
-    // resolution) and its value travels with the entry; an uncaptured
-    // source is produced by an older, still-deferred slice instruction —
-    // identified by its last-writer sequence number — and is delivered
-    // through the scratch register file / bypass network the moment that
-    // producer resolves. A delivered value only becomes *usable* at its
-    // readyAt cycle (the producer's completion time on the bypass).
-    bool src1Captured = false;
-    bool src2Captured = false;
-    RegVal src1Val = 0;
-    RegVal src2Val = 0;
-    SeqNum src1Producer = 0;  ///< producer seq of an uncaptured src1
-    SeqNum src2Producer = 0;  ///< producer seq of an uncaptured src2
-    Cycle src1ReadyAt = 0;    ///< when a delivered src1 value is usable
-    Cycle src2ReadyAt = 0;    ///< when a delivered src2 value is usable
+    std::array<SliceSource, 2> src{}; ///< the instruction's src1, src2
 
     Ssn storeSsn = 0;            ///< for stores: the SB entry to resolve
     BranchPrediction pred{};     ///< for control: fetch-time prediction
@@ -67,15 +93,78 @@ class SliceBuffer
     size_t activeCount() const { return active_; }
     bool noneActive() const { return active_ == 0; }
 
-    /** Append a new entry in program order. @pre !full() */
-    SliceEntry &
+    /**
+     * Operand capture at insertion: a source read from register @p r of
+     * @p rf takes the register's value if it is not poisoned, and
+     * otherwise names the register's last writer — necessarily a
+     * still-active entry of this buffer — for push() to link to.
+     * A source with no register (kNoReg) stays captured as zero.
+     */
+    static void
+    captureSource(SliceSource &source, const RegisterFile &rf, RegId r)
+    {
+        if (r == kNoReg)
+            return;
+        if (rf.poison(r) == 0) {
+            source.val = rf.read(r);
+            return;
+        }
+        source.producerSeq = rf.lastWriter(r);
+        source.producer = rf.lastSliceIdx(r);
+    }
+
+    /**
+     * Append a new entry in program order and link each uncaptured source
+     * onto its producer's consumer list. @pre !full()
+     * @return the entry's absolute index
+     */
+    uint32_t
     push(const SliceEntry &entry)
     {
         ICFP_ASSERT(!full());
-        ICFP_ASSERT(entry.active);
+        ICFP_ASSERT(entry.active && entry.consumers == kNoSliceIdx);
+        const size_t idx = entries_.size();
+        ICFP_ASSERT(idx < kNoSliceIdx / 2);
         entries_.push_back(entry);
+        for (uint32_t slot = 0; slot < 2; ++slot) {
+            SliceSource &source = entries_[idx].src[slot];
+            if (source.captured())
+                continue;
+            // The producer is older, un-reclaimed and still the writer
+            // the register file named: a stale index fails here.
+            ICFP_ASSERT(source.producer >= head_ && source.producer < idx);
+            SliceEntry &producer = entries_[source.producer];
+            ICFP_ASSERT(producer.active &&
+                        producer.seq == source.producerSeq);
+            source.next = producer.consumers;
+            producer.consumers = static_cast<uint32_t>(idx * 2 + slot);
+        }
         ++active_;
-        return entries_.back();
+        return static_cast<uint32_t>(idx);
+    }
+
+    /**
+     * Bypass delivery: hand the result of the entry at @p idx to every
+     * still-active consumer on its list, capturing the value with its
+     * readiness cycle. The one delivery protocol shared by every core
+     * that re-executes slices (iCFP's non-blocking rallies, SLTP's
+     * blocking rally). Consumers are younger than their producer, so each
+     * is still un-reclaimed.
+     */
+    void
+    deliver(size_t idx, RegVal value, Cycle ready_at)
+    {
+        for (uint32_t link = at(idx).consumers; link != kNoSliceIdx;) {
+            SliceEntry &consumer = at(link / 2);
+            SliceSource &source = consumer.src[link % 2];
+            link = source.next;
+            if (!consumer.active)
+                continue;
+            ICFP_ASSERT(source.producer == idx);
+            source.val = value;
+            source.readyAt = ready_at;
+            source.producer = kNoSliceIdx;
+        }
     }
 
     /** Mark the entry at absolute index @p idx resolved (un-poisoned). */
@@ -90,7 +179,11 @@ class SliceBuffer
         reclaimHead();
     }
 
-    /** First un-reclaimed absolute index (pass start position). */
+    /**
+     * First un-reclaimed absolute index (pass start position). Resolution
+     * always reclaims the head, so while any entry is active this is the
+     * oldest active one.
+     */
     size_t headIndex() const { return head_; }
     /** One past the last entry. */
     size_t endIndex() const { return entries_.size(); }
@@ -114,68 +207,13 @@ class SliceBuffer
     SeqNum
     oldestActiveSeq() const
     {
-        for (size_t i = head_; i < entries_.size(); ++i) {
-            if (entries_[i].active)
-                return entries_[i].seq;
-        }
-        return ~SeqNum{0};
+        if (head_ == entries_.size())
+            return ~SeqNum{0};
+        ICFP_ASSERT(entries_[head_].active);
+        return entries_[head_].seq;
     }
 
-    /**
-     * Find the (still-buffered) entry with sequence number @p seq by
-     * binary search — entries are pushed in program order. Returns nullptr
-     * if no such un-reclaimed entry exists.
-     */
-    SliceEntry *
-    findBySeq(SeqNum seq)
-    {
-        size_t lo = head_, hi = entries_.size();
-        while (lo < hi) {
-            const size_t mid = lo + (hi - lo) / 2;
-            if (entries_[mid].seq < seq)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        if (lo < entries_.size() && entries_[lo].seq == seq)
-            return &entries_[lo];
-        return nullptr;
-    }
-
-    /**
-     * Bypass delivery: broadcast a resolved producer's result into every
-     * still-active younger entry that recorded @p producer_seq as a
-     * source producer, capturing the value with its readiness cycle.
-     * The one delivery protocol shared by every core that re-executes
-     * slices (iCFP's non-blocking rallies, SLTP's blocking rally).
-     *
-     * @param pos the producer's absolute index (consumers are younger,
-     *            so the scan starts just past it)
-     */
-    void
-    deliverFrom(size_t pos, SeqNum producer_seq, RegVal value,
-                Cycle ready_at)
-    {
-        for (size_t i = pos + 1; i < entries_.size(); ++i) {
-            SliceEntry &consumer = entries_[i];
-            if (!consumer.active)
-                continue;
-            if (!consumer.src1Captured &&
-                consumer.src1Producer == producer_seq) {
-                consumer.src1Val = value;
-                consumer.src1ReadyAt = ready_at;
-                consumer.src1Captured = true;
-            }
-            if (!consumer.src2Captured &&
-                consumer.src2Producer == producer_seq) {
-                consumer.src2Val = value;
-                consumer.src2ReadyAt = ready_at;
-                consumer.src2Captured = true;
-            }
-        }
-    }
-
-    /** Drop everything (squash / epoch end). */
+    /** Drop everything (squash / epoch end); indices restart at 0. */
     void
     clear()
     {
@@ -185,7 +223,7 @@ class SliceBuffer
     }
 
   private:
-    /** Free leading inactive entries. */
+    /** Free leading inactive entries; reset once none is active. */
     void
     reclaimHead()
     {

@@ -111,11 +111,9 @@ SltpCore::tailLoad(const DynInst &di)
         entry.traceIdx = static_cast<uint32_t>(tailIdx_);
         entry.seq = seq;
         entry.poison = 1;
-        entry.src1Captured = true;
-        entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
-        entry.src2Captured = true;
-        slice_.push(entry);
-        rf0_.writePoisoned(di.dst, 1, seq);
+        entry.src[0].val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
+        const uint32_t idx = slice_.push(entry);
+        rf0_.writePoisoned(di.dst, 1, seq, idx);
         ++result_.slicedInsts;
         return true;
     }
@@ -147,11 +145,9 @@ SltpCore::tailLoad(const DynInst &di)
         entry.traceIdx = static_cast<uint32_t>(tailIdx_);
         entry.seq = seq;
         entry.poison = 1;
-        entry.src1Captured = true;
-        entry.src1Val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
-        entry.src2Captured = true;
-        slice_.push(entry);
-        rf0_.writePoisoned(di.dst, 1, seq);
+        entry.src[0].val = di.src1 == kNoReg ? 0 : rf0_.read(di.src1);
+        const uint32_t idx = slice_.push(entry);
+        rf0_.writePoisoned(di.dst, 1, seq, idx);
         pending_.push(r.doneAt, 1);
         ++result_.slicedInsts;
         return true;
@@ -190,16 +186,8 @@ SltpCore::divertToSlice(const DynInst &di, PoisonMask poison)
     entry.traceIdx = static_cast<uint32_t>(tailIdx_);
     entry.seq = seq;
     entry.poison = poison;
-    entry.src1Captured = di.src1 == kNoReg || rf0_.poison(di.src1) == 0;
-    if (entry.src1Captured && di.src1 != kNoReg)
-        entry.src1Val = rf0_.read(di.src1);
-    else if (!entry.src1Captured)
-        entry.src1Producer = rf0_.lastWriter(di.src1);
-    entry.src2Captured = di.src2 == kNoReg || rf0_.poison(di.src2) == 0;
-    if (entry.src2Captured && di.src2 != kNoReg)
-        entry.src2Val = rf0_.read(di.src2);
-    else if (!entry.src2Captured)
-        entry.src2Producer = rf0_.lastWriter(di.src2);
+    SliceBuffer::captureSource(entry.src[0], rf0_, di.src1);
+    SliceBuffer::captureSource(entry.src[1], rf0_, di.src2);
 
     if (di.isStore()) {
         // Miss-dependent store: SRL entry with poisoned data. (A poisoned
@@ -220,10 +208,9 @@ SltpCore::divertToSlice(const DynInst &di, PoisonMask poison)
         }
     }
 
+    const uint32_t idx = slice_.push(entry);
     if (di.hasDst())
-        rf0_.writePoisoned(di.dst, poison, seq);
-
-    slice_.push(entry);
+        rf0_.writePoisoned(di.dst, poison, seq, idx);
     ++result_.slicedInsts;
     return true;
 }
@@ -361,11 +348,9 @@ SltpCore::rallyTick()
         }
         return;
     }
-    size_t pos = slice_.headIndex();
-    while (pos < slice_.endIndex() && !slice_.at(pos).active)
-        ++pos;
-    ICFP_ASSERT(pos < slice_.endIndex());
+    const size_t pos = slice_.headIndex(); // the oldest active entry
     SliceEntry &entry = slice_.at(pos);
+    ICFP_ASSERT(entry.active);
     if (!srl_.empty() && srl_.front().seq < entry.seq)
         return; // an older store must drain first
 
@@ -373,25 +358,23 @@ SltpCore::rallyTick()
     const Instruction &si = trace_->program->code[di.pc];
 
     // Operand delivery: insert-time captures travel with the entry, and
-    // publish() below delivers producer results straight into younger
-    // entries — the in-order blocking rally guarantees every producer
-    // resolved (and delivered) before its consumer executes.
-    ICFP_ASSERT(entry.src1Captured && entry.src2Captured);
-    if (entry.src1ReadyAt > cycle_) {
-        rallyWake_ = entry.src1ReadyAt;
-        return;
-    }
-    if (entry.src2ReadyAt > cycle_) {
-        rallyWake_ = entry.src2ReadyAt;
-        return;
+    // publish() below delivers producer results straight into the linked
+    // younger entries — the in-order blocking rally guarantees every
+    // producer resolved (and delivered) before its consumer executes.
+    for (const SliceSource &source : entry.src) {
+        ICFP_ASSERT(source.captured());
+        if (source.readyAt > cycle_) {
+            rallyWake_ = source.readyAt;
+            return;
+        }
     }
 
-    const RegVal a = entry.src1Val;
-    const RegVal b = entry.src2Val;
+    const RegVal a = entry.src[0].val;
+    const RegVal b = entry.src[1].val;
 
     auto publish = [&](RegVal value, Cycle ready_at) {
         if (di.hasDst()) {
-            slice_.deliverFrom(pos, entry.seq, value, ready_at);
+            slice_.deliver(pos, value, ready_at);
             if (rf0_.writeGated(di.dst, value, entry.seq))
                 regReady_[di.dst] = ready_at;
         }

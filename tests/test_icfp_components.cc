@@ -2,8 +2,9 @@
  * @file
  * Unit and property tests for the iCFP mechanisms: the chained store
  * buffer (including a property sweep against an associative reference
- * model), the chain table, the slice buffer, poison vectors, the
- * register file's sequence gating, and the MP-safety signature.
+ * model), the chain table, the slice buffer and its producer/consumer
+ * links, poison vectors, the register file's sequence gating, and the
+ * MP-safety signature.
  */
 
 #include <gtest/gtest.h>
@@ -274,18 +275,6 @@ TEST(SliceBuffer, FullBound)
     EXPECT_TRUE(sb.full());
 }
 
-TEST(SliceBuffer, FindBySeq)
-{
-    SliceBuffer sb(8);
-    sb.push(entryAt(10));
-    sb.push(entryAt(20));
-    sb.push(entryAt(30));
-    ASSERT_NE(sb.findBySeq(20), nullptr);
-    EXPECT_EQ(sb.findBySeq(20)->seq, 20u);
-    EXPECT_EQ(sb.findBySeq(25), nullptr);
-    EXPECT_EQ(sb.findBySeq(5), nullptr);
-}
-
 TEST(SliceBuffer, ClearEmptiesEverything)
 {
     SliceBuffer sb(4);
@@ -294,6 +283,155 @@ TEST(SliceBuffer, ClearEmptiesEverything)
     EXPECT_EQ(sb.occupancy(), 0u);
     EXPECT_TRUE(sb.noneActive());
     EXPECT_EQ(sb.oldestActiveSeq(), ~SeqNum{0});
+}
+
+/**
+ * An entry at @p seq whose source @p slot reads a register that the
+ * entry at slice index @p producer_idx (sequence @p producer_seq) left
+ * poisoned — what captureSource() records for a poisoned register.
+ */
+SliceEntry
+consumerAt(SeqNum seq, unsigned slot, uint32_t producer_idx,
+           SeqNum producer_seq)
+{
+    SliceEntry e = entryAt(seq);
+    e.src[slot].producer = producer_idx;
+    e.src[slot].producerSeq = producer_seq;
+    return e;
+}
+
+TEST(SliceBuffer, CaptureSourceNamesThePoisonedRegistersLastWriter)
+{
+    SliceBuffer sb(8);
+    RegisterFile rf;
+    rf.write(1, 42, 0);
+    const uint32_t p = sb.push(entryAt(5));
+    rf.writePoisoned(2, 0b1, 5, p);
+
+    SliceEntry e = entryAt(6);
+    SliceBuffer::captureSource(e.src[0], rf, 1);
+    SliceBuffer::captureSource(e.src[1], rf, 2);
+    EXPECT_TRUE(e.src[0].captured());
+    EXPECT_EQ(e.src[0].val, 42u);
+    EXPECT_FALSE(e.src[1].captured());
+    EXPECT_EQ(e.src[1].producer, p);
+    EXPECT_EQ(e.src[1].producerSeq, 5u);
+
+    SliceEntry none = entryAt(7);
+    SliceBuffer::captureSource(none.src[0], rf, kNoReg);
+    EXPECT_TRUE(none.src[0].captured());
+    EXPECT_EQ(none.src[0].val, 0u);
+}
+
+TEST(SliceBuffer, OneProducerDeliversToThreeConsumers)
+{
+    SliceBuffer sb(8);
+    const uint32_t p = sb.push(entryAt(10));
+    const uint32_t c1 = sb.push(consumerAt(11, 0, p, 10));
+    const uint32_t c2 = sb.push(consumerAt(12, 1, p, 10));
+    sb.push(entryAt(13)); // unrelated: must not receive the value
+    const uint32_t c3 = sb.push(consumerAt(14, 0, p, 10));
+    EXPECT_EQ(sb.at(p).poison, 1); // O(1) poison read through the link
+
+    sb.deliver(p, 77, 500);
+    sb.resolve(p);
+    for (const auto &[idx, slot] :
+         {std::pair{c1, 0}, std::pair{c2, 1}, std::pair{c3, 0}}) {
+        const SliceSource &s = sb.at(idx).src[slot];
+        EXPECT_TRUE(s.captured());
+        EXPECT_EQ(s.val, 77u);
+        EXPECT_EQ(s.readyAt, 500u);
+    }
+    EXPECT_EQ(sb.at(c2).src[0].val, 0u); // the other slot is untouched
+    EXPECT_EQ(sb.at(p + 3).src[0].val, 0u);
+    EXPECT_EQ(sb.at(p + 3).src[1].val, 0u);
+}
+
+TEST(SliceBuffer, OneProducerFeedsBothSourcesOfOneConsumer)
+{
+    SliceBuffer sb(4);
+    const uint32_t p = sb.push(entryAt(3));
+    SliceEntry both = consumerAt(4, 0, p, 3);
+    both.src[1] = both.src[0];
+    const uint32_t c = sb.push(both);
+
+    sb.deliver(p, 9, 40);
+    for (const SliceSource &s : sb.at(c).src) {
+        EXPECT_TRUE(s.captured());
+        EXPECT_EQ(s.val, 9u);
+        EXPECT_EQ(s.readyAt, 40u);
+    }
+}
+
+TEST(SliceBuffer, ResolvedConsumerIsSkippedByDelivery)
+{
+    SliceBuffer sb(4);
+    const uint32_t p = sb.push(entryAt(1));
+    const uint32_t gone = sb.push(consumerAt(2, 0, p, 1));
+    const uint32_t live = sb.push(consumerAt(3, 1, p, 1));
+    sb.resolve(gone); // resolved before its producer delivers
+
+    sb.deliver(p, 5, 9);
+    EXPECT_FALSE(sb.at(gone).src[0].captured()); // not written
+    EXPECT_EQ(sb.at(gone).src[0].val, 0u);
+    EXPECT_TRUE(sb.at(live).src[1].captured());
+    EXPECT_EQ(sb.at(live).src[1].val, 5u);
+}
+
+TEST(SliceBuffer, LinksSurviveHeadReclaim)
+{
+    SliceBuffer sb(8);
+    sb.push(entryAt(1));
+    sb.push(entryAt(2));
+    const uint32_t p = sb.push(entryAt(3));
+    const uint32_t c = sb.push(consumerAt(4, 0, p, 3));
+    sb.resolve(0);
+    sb.resolve(1);
+    ASSERT_EQ(sb.headIndex(), p); // reclaimed up to the producer
+    EXPECT_EQ(sb.oldestActiveSeq(), 3u);
+    // Absolute indices do not move when the head is reclaimed.
+    EXPECT_EQ(sb.at(p).seq, 3u);
+    EXPECT_EQ(sb.at(c).src[0].producer, p);
+
+    // A consumer pushed after the reclaim links to the same producer.
+    const uint32_t late = sb.push(consumerAt(5, 1, p, 3));
+    sb.deliver(p, 123, 7);
+    sb.resolve(p);
+    EXPECT_EQ(sb.headIndex(), c);
+    EXPECT_EQ(sb.at(c).src[0].val, 123u);
+    EXPECT_EQ(sb.at(late).src[1].val, 123u);
+}
+
+TEST(SliceBuffer, ClearResetsIndicesAndLists)
+{
+    SliceBuffer sb(4);
+    const uint32_t p = sb.push(entryAt(1));
+    sb.push(consumerAt(2, 0, p, 1));
+    sb.clear(); // squash: the consumer and its link are gone
+
+    const uint32_t fresh = sb.push(entryAt(8));
+    EXPECT_EQ(fresh, 0u); // indices restart
+    EXPECT_EQ(sb.at(fresh).consumers, kNoSliceIdx);
+    const uint32_t c = sb.push(consumerAt(9, 1, fresh, 8));
+    EXPECT_EQ(c, 1u);
+    sb.deliver(fresh, 4, 2);
+    EXPECT_EQ(sb.at(c).src[1].val, 4u);
+
+    // Draining every entry resets the indices the same way.
+    sb.resolve(fresh);
+    sb.resolve(c);
+    EXPECT_EQ(sb.push(entryAt(20)), 0u);
+}
+
+TEST(SliceBufferDeathTest, StaleProducerLinkIsCaught)
+{
+    SliceBuffer sb(4);
+    const uint32_t p = sb.push(entryAt(1));
+    sb.push(entryAt(2));
+    sb.resolve(p); // reclaimed: no consumer may link to it any more
+    EXPECT_DEATH(sb.push(consumerAt(3, 0, p, 1)), "assertion failed");
+    // Nor to a live index whose entry is not the named writer.
+    EXPECT_DEATH(sb.push(consumerAt(3, 0, p + 1, 1)), "assertion failed");
 }
 
 // ---- Poison -----------------------------------------------------------------
@@ -326,7 +464,7 @@ TEST(Poison, PendingQueueOrdering)
 TEST(RegisterFile, SequenceGatedMerge)
 {
     RegisterFile rf;
-    rf.writePoisoned(4, 0b1, /*seq=*/8); // advance instr 8 poisons r4
+    rf.writePoisoned(4, 0b1, /*seq=*/8, 0); // advance instr 8 poisons r4
     EXPECT_EQ(rf.poison(4), 0b1);
     // A rally write from an OLDER instruction (seq 2) must be suppressed.
     EXPECT_FALSE(rf.writeGated(4, 111, 2));
@@ -342,7 +480,7 @@ TEST(RegisterFile, TailWriteClearsPoisonAndRetargets)
     // Figure 3: rally writes to r3/r4 are suppressed because younger
     // advance instructions already overwrote them.
     RegisterFile rf;
-    rf.writePoisoned(3, 0b1, 0); // seq 0 load poisons r3
+    rf.writePoisoned(3, 0b1, 0, 0); // seq 0 load poisons r3
     rf.write(3, 3, 6);           // seq 6 tail instr overwrites r3
     EXPECT_EQ(rf.poison(3), 0);
     EXPECT_FALSE(rf.writeGated(3, 9, 0)); // rally write suppressed
@@ -355,7 +493,7 @@ TEST(RegisterFile, CheckpointRestore)
     rf.write(1, 100, 1);
     rf.checkpoint();
     rf.write(1, 200, 2);
-    rf.writePoisoned(2, 0b1, 3);
+    rf.writePoisoned(2, 0b1, 3, 0);
     rf.restore();
     EXPECT_EQ(rf.read(1), 100u);
     EXPECT_EQ(rf.poison(2), 0);
@@ -366,7 +504,7 @@ TEST(RegisterFile, R0AlwaysZeroNeverPoisoned)
 {
     RegisterFile rf;
     rf.write(0, 55, 1);
-    rf.writePoisoned(0, 0b1, 2);
+    rf.writePoisoned(0, 0b1, 2, 0);
     EXPECT_EQ(rf.read(0), 0u);
     EXPECT_EQ(rf.poison(0), 0);
 }
