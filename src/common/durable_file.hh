@@ -1,10 +1,11 @@
 /**
  * @file
- * Crash-durable atomic file publication, shared by the trace store and
- * the persistent result cache. An atomic rename alone is not crash
- * safe: after a power loss the rename may survive while the data
- * blocks it points at do not, leaving a correctly-named file full of
- * zeros or garbage. The durable sequence is
+ * Crash-durable atomic file publication, the write path of
+ * common/blob_store.hh (and so of the trace store and the persistent
+ * result cache). An atomic rename alone is not crash safe: after a
+ * power loss the rename may survive while the data blocks it points at
+ * do not, leaving a correctly-named file full of zeros or garbage. The
+ * durable sequence is
  *
  *   write temp -> fsync(temp) -> close -> rename -> fsync(directory)
  *

@@ -296,9 +296,6 @@ MultipassCore::run(const Trace &trace)
     size_t idx = 0;
     inEpisode_ = false;
     poison_.fill(false);
-#ifdef ICFP_DEBUG_MP
-    uint64_t dbgAStarved = 0, dbgBWait = 0;
-#endif
 
     while (idx < traceLen_ || inEpisode_) {
         ICFP_ASSERT(cycle_ < kMaxRunCycles);
@@ -311,21 +308,6 @@ MultipassCore::run(const Trace &trace)
                 resyncAdvance();
             Cycle wake = kCycleNever;
             bool did_work = resynced;
-#ifdef ICFP_DEBUG_MP
-            if (window_.empty()) ++dbgAStarved;
-            else {
-                const DynInst &dd = trace[bPos_];
-                Cycle rdy = 0;
-                if (!window_.front().resolved) {
-                    if (dd.src1 != kNoReg && dd.src1 != 0) rdy = std::max(rdy, bReady_[dd.src1]);
-                    if (dd.src2 != kNoReg && dd.src2 != 0) rdy = std::max(rdy, bReady_[dd.src2]);
-                }
-                if (rdy > cycle_) ++dbgBWait;
-            }
-            if (cycle_ % 100000 == 99999)
-                std::fprintf(stderr, "MPDBG c=%lu starved=%lu bwait=%lu win=%zu bPos=%zu front=%zu\n",
-                             cycle_, dbgAStarved, dbgBWait, window_.size(), bPos_, frontier_);
-#endif
             // B-pipe (architectural, dedicated pipeline)...
             bSlots_.reset();
             while (bSlots_.used() < params_.issueWidth) {

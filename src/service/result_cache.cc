@@ -1,64 +1,14 @@
 #include "service/result_cache.hh"
 
-#include <algorithm>
-#include <chrono>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-
-#include "common/durable_file.hh"
 #include "common/logging.hh"
 #include "common/metrics.hh"
 #include "sim/merge.hh"
-#include "sim/trace_store.hh" // fnv1a64
 #include "sim/version_info.hh"
-
-namespace fs = std::filesystem;
 
 namespace icfp {
 namespace service {
 
 namespace {
-
-constexpr char kResultMagic[8] = {'I', 'C', 'F', 'P', 'R', 'E', 'S', '1'};
-constexpr const char *kResultSuffix = ".res";
-
-void
-putU64(std::string *out, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint64_t
-getU64(const std::string &s, size_t at)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(static_cast<uint8_t>(s[at + i]))
-             << (8 * i);
-    return v;
-}
-
-std::optional<std::string>
-readFileBytes(const fs::path &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt;
-    std::ostringstream os;
-    os << is.rdbuf();
-    if (!is.good() && !is.eof())
-        return std::nullopt;
-    return os.str();
-}
-
-void
-removeQuietly(const fs::path &path)
-{
-    std::error_code ec;
-    fs::remove(path, ec);
-}
 
 /** Registry mirror of stats_ (the scrape surface; stats_ stays the
  *  per-cache accessor). */
@@ -66,6 +16,20 @@ void
 countCacheEvent(const char *name)
 {
     metrics::counter(std::string("icfp_result_cache_") + name).inc();
+}
+
+std::string
+diskFile(uint64_t key)
+{
+    return fingerprintHex(key) + ".res";
+}
+
+std::string
+diskKey(uint64_t key)
+{
+    std::string bytes;
+    putU64(&bytes, key);
+    return bytes;
 }
 
 } // namespace
@@ -100,79 +64,16 @@ resultCacheKey(const std::vector<SweepJob> &grid, uint64_t insts,
 }
 
 ResultCache::ResultCache(uint64_t max_bytes, std::string dir)
-    : max_bytes_(max_bytes), dir_(std::move(dir))
+    : max_bytes_(max_bytes)
 {
-    if (dir_.empty())
+    if (dir.empty())
         return;
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec) {
-        ICFP_WARN("result cache: cannot create %s: %s — disk tier off",
-                  dir_.c_str(), ec.message().c_str());
-        dir_.clear();
-        return;
+    disk_.emplace(std::move(dir), "ICFPRES1", ".res", "result_cache",
+                  "icfp_result_cache_disk_", max_bytes);
+    if (!disk_->ok()) {
+        ICFP_WARN("result cache: disk tier off");
+        disk_.reset();
     }
-
-    // Reclaim temp files orphaned by killed writers (same policy as the
-    // trace store: invisible to the byte cap, so a crash-looping daemon
-    // would otherwise grow the directory without bound; the 15-minute
-    // age threshold keeps live writers safe).
-    const auto stale_before =
-        fs::file_time_type::clock::now() - std::chrono::minutes(15);
-    for (const fs::directory_entry &de : fs::directory_iterator(dir_, ec)) {
-        if (de.path().filename().string().find(".res.tmp.") ==
-            std::string::npos) {
-            continue;
-        }
-        std::error_code fe;
-        const fs::file_time_type mtime = de.last_write_time(fe);
-        if (!fe && mtime < stale_before)
-            removeQuietly(de.path());
-    }
-}
-
-std::string
-ResultCache::diskPath(uint64_t key) const
-{
-    return (fs::path(dir_) / (fingerprintHex(key) + kResultSuffix)).string();
-}
-
-std::optional<std::string>
-ResultCache::diskLoad(uint64_t key)
-{
-    const fs::path path = diskPath(key);
-    const std::optional<std::string> bytes = readFileBytes(path);
-    if (!bytes)
-        return std::nullopt;
-
-    // Header: magic, key, payload hash, payload length. The embedded
-    // key catches a renamed/copied file; the hash catches truncation
-    // and bit rot. Anything that fails is deleted and recomputed —
-    // never served.
-    constexpr size_t header = sizeof(kResultMagic) + 8 + 8 + 8;
-    bool ok = bytes->size() >= header &&
-              bytes->compare(0, sizeof(kResultMagic), kResultMagic,
-                             sizeof(kResultMagic)) == 0 &&
-              getU64(*bytes, sizeof(kResultMagic)) == key;
-    if (ok) {
-        const uint64_t hash = getU64(*bytes, header - 16);
-        const uint64_t size = getU64(*bytes, header - 8);
-        ok = bytes->size() == header + size &&
-             fnv1a64(bytes->data() + header, size) == hash;
-    }
-    if (!ok) {
-        removeQuietly(path);
-        ++stats_.diskCorrupt;
-        countCacheEvent("disk_corrupt");
-        ICFP_WARN("result cache: corrupt entry %s removed, will recompute",
-                  path.c_str());
-        return std::nullopt;
-    }
-
-    // LRU touch (best effort): a disk hit makes this file newest.
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-    return bytes->substr(header);
 }
 
 std::optional<std::string>
@@ -191,29 +92,16 @@ ResultCache::lookup(uint64_t key, CacheTier *tier)
         return it->second->artifact;
     }
 
-    if (!dir_.empty()) {
-        std::optional<std::string> artifact = diskLoad(key);
+    if (disk_) {
+        std::optional<std::string> artifact =
+            disk_->get(diskFile(key), diskKey(key));
         if (artifact) {
             // Promote to the memory tier so the next repeat skips the
             // disk read and checksum.
-            if (max_bytes_ == 0 || artifact->size() <= max_bytes_) {
-                bytes_ += artifact->size();
-                lru_.push_front({key, *artifact});
-                index_[key] = lru_.begin();
-                while (max_bytes_ > 0 && bytes_ > max_bytes_ &&
-                       lru_.size() > 1) {
-                    const Entry &victim = lru_.back();
-                    bytes_ -= victim.artifact.size();
-                    index_.erase(victim.key);
-                    lru_.pop_back();
-                    ++stats_.evictions;
-                    countCacheEvent("evictions");
-                }
-            }
+            if (max_bytes_ == 0 || artifact->size() <= max_bytes_)
+                pushLocked(key, *artifact);
             ++stats_.hits;
-            ++stats_.diskHits;
             countCacheEvent("hits");
-            countCacheEvent("disk_hits");
             if (tier)
                 *tier = CacheTier::Disk;
             return artifact;
@@ -235,19 +123,24 @@ ResultCache::insert(uint64_t key, std::string artifact)
         bytes_ += artifact.size();
         it->second->artifact = std::move(artifact);
         lru_.splice(lru_.begin(), lru_, it->second);
-        diskInsertLocked(key, lru_.front().artifact);
+        diskPutLocked(key, lru_.front().artifact);
         return;
     }
     if (max_bytes_ > 0 && artifact.size() > max_bytes_)
         return; // would evict everything else and still not fit
 
+    ++stats_.insertions;
+    countCacheEvent("insertions");
+    diskPutLocked(key, artifact);
+    pushLocked(key, std::move(artifact));
+}
+
+void
+ResultCache::pushLocked(uint64_t key, std::string artifact)
+{
     bytes_ += artifact.size();
     lru_.push_front({key, std::move(artifact)});
     index_[key] = lru_.begin();
-    ++stats_.insertions;
-    countCacheEvent("insertions");
-    diskInsertLocked(key, lru_.front().artifact);
-
     while (max_bytes_ > 0 && bytes_ > max_bytes_ && lru_.size() > 1) {
         const Entry &victim = lru_.back();
         bytes_ -= victim.artifact.size();
@@ -259,75 +152,21 @@ ResultCache::insert(uint64_t key, std::string artifact)
 }
 
 void
-ResultCache::diskInsertLocked(uint64_t key, const std::string &artifact)
+ResultCache::diskPutLocked(uint64_t key, const std::string &artifact)
 {
-    if (dir_.empty())
-        return;
-
-    std::string blob(kResultMagic, sizeof(kResultMagic));
-    putU64(&blob, key);
-    putU64(&blob, fnv1a64(artifact.data(), artifact.size()));
-    putU64(&blob, artifact.size());
-    blob += artifact;
-
-    // Durable publish; a failed disk write degrades to memory-only (the
-    // cache is an optimization — the daemon keeps answering correctly).
-    const std::string path = diskPath(key);
+    // A failed disk write degrades to memory-only (the cache is an
+    // optimization — the daemon keeps answering correctly).
     std::string err;
-    if (!writeFileDurable(path, blob, "result_cache", &err)) {
-        ++stats_.diskWriteFailures;
-        countCacheEvent("disk_write_failures");
+    if (disk_ && !disk_->put(diskFile(key), diskKey(key), artifact, &err)) {
         ICFP_WARN("result cache: %s — entry kept in memory only",
                   err.c_str());
-        return;
     }
-    if (max_bytes_ > 0)
-        diskEvictLocked(fs::path(path).filename().string());
 }
 
-void
-ResultCache::diskEvictLocked(const std::string &keep_file)
+BlobStore::Stats
+ResultCache::diskStats() const
 {
-    struct DiskEntry
-    {
-        fs::path path;
-        uint64_t size;
-        fs::file_time_type mtime;
-    };
-    std::vector<DiskEntry> entries;
-    uint64_t total = 0;
-    std::error_code ec;
-    for (const fs::directory_entry &de : fs::directory_iterator(dir_, ec)) {
-        const fs::path &p = de.path();
-        if (p.extension() != kResultSuffix)
-            continue;
-        std::error_code size_ec, time_ec;
-        const uint64_t size = de.file_size(size_ec);
-        const fs::file_time_type mtime = de.last_write_time(time_ec);
-        if (size_ec || time_ec)
-            continue;
-        entries.push_back({p, size, mtime});
-        total += size;
-    }
-    if (ec || total <= max_bytes_)
-        return;
-
-    // Oldest first; ties broken by name for determinism. The entry just
-    // published is never evicted.
-    std::sort(entries.begin(), entries.end(),
-              [](const DiskEntry &a, const DiskEntry &b) {
-                  if (a.mtime != b.mtime)
-                      return a.mtime < b.mtime;
-                  return a.path.filename() < b.path.filename();
-              });
-    for (const DiskEntry &e : entries) {
-        if (total <= max_bytes_)
-            break;
-        if (e.path.filename() == keep_file)
-            continue;
-        removeQuietly(e.path);
-        total -= e.size;
-    }
+    return disk_ ? disk_->stats() : BlobStore::Stats{};
 }
 
 ResultCache::Stats

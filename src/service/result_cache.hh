@@ -23,15 +23,13 @@
  * discipline the trace store applies to traces.
  *
  * Two tiers. The in-memory tier is LRU over a byte cap, thread-safe.
- * The optional disk tier (`--cache-dir`) persists every inserted
- * artifact as `<key-hex>.res` with a checksummed header, published via
- * writeFileDurable (fsync-then-atomic-rename), so a restarted daemon
- * serves warm repeats with `cache=hit generations=0 replays=0`. The
- * disk tier is an optimization with the same trust model as the trace
- * store: entries that fail the magic/key/size/FNV-1a check on load —
- * truncated by a crash, bit-flipped, or hand-edited — are deleted and
- * the result recomputed, never served. It shares the byte cap with the
- * memory tier and evicts by mtime (a disk hit refreshes the file).
+ * The optional disk tier (`--cache-dir`) is a common/blob_store.hh
+ * directory, the same format and trust model as the trace store:
+ * `ICFPRES1` files named `<key-hex>.res`, keyed by u64(key), with fault
+ * points `result_cache.*` and metrics `icfp_result_cache_disk_*`. A
+ * restarted daemon therefore serves warm repeats with
+ * `cache=hit generations=0 replays=0`. The disk tier shares the byte
+ * cap with the memory tier.
  */
 
 #ifndef ICFP_SERVICE_RESULT_CACHE_HH
@@ -45,6 +43,7 @@
 #include <string>
 #include <vector>
 
+#include "common/blob_store.hh"
 #include "sim/sweep.hh"
 
 namespace icfp {
@@ -80,15 +79,14 @@ const char *cacheTierName(CacheTier tier);
 class ResultCache
 {
   public:
+    /** Lookup outcomes over both tiers; insertions and evictions of
+     *  the memory tier (diskStats() has the disk tier's own counts). */
     struct Stats
     {
-        uint64_t hits = 0;     ///< memory-tier hits
-        uint64_t misses = 0;   ///< missed both tiers
+        uint64_t hits = 0;   ///< served by either tier
+        uint64_t misses = 0; ///< missed both tiers
         uint64_t insertions = 0;
         uint64_t evictions = 0;
-        uint64_t diskHits = 0; ///< served from disk (counted in hits too)
-        uint64_t diskCorrupt = 0;
-        uint64_t diskWriteFailures = 0;
     };
 
     /**
@@ -115,10 +113,10 @@ class ResultCache
     void insert(uint64_t key, std::string artifact);
 
     Stats stats() const;
+    /** The disk tier's counts (all zero without one). */
+    BlobStore::Stats diskStats() const;
     uint64_t bytes() const;
     size_t entries() const;
-    uint64_t maxBytes() const { return max_bytes_; }
-    const std::string &dir() const { return dir_; }
 
   private:
     struct Entry
@@ -127,15 +125,13 @@ class ResultCache
         std::string artifact;
     };
 
-    /** `<dir>/<key-hex>.res` for @p key. */
-    std::string diskPath(uint64_t key) const;
-    /** Verified artifact from disk, or nullopt (corrupt files deleted). */
-    std::optional<std::string> diskLoad(uint64_t key);
-    void diskInsertLocked(uint64_t key, const std::string &artifact);
-    void diskEvictLocked(const std::string &keep_file);
+    /** Add @p artifact as the newest memory entry, then evict least
+     *  recently used entries (never the new one) down to the cap. */
+    void pushLocked(uint64_t key, std::string artifact);
+    void diskPutLocked(uint64_t key, const std::string &artifact);
 
     uint64_t max_bytes_;
-    std::string dir_; ///< empty = no disk tier
+    std::optional<BlobStore> disk_; ///< absent = memory only
     mutable std::mutex mutex_;
     std::list<Entry> lru_; ///< most-recently-used first
     std::map<uint64_t, std::list<Entry>::iterator> index_;

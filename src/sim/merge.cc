@@ -5,9 +5,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/blob_store.hh" // fnv1a64
 #include "common/logging.hh"
 #include "sim/report.hh"
-#include "sim/trace_store.hh" // fnv1a64
+#include "sim/trace_store.hh" // kTraceGenVersion
 
 namespace icfp {
 

@@ -1,90 +1,28 @@
 #include "sim/trace_store.hh"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-#include <thread>
-#include <vector>
 
-#include <unistd.h>
-
-#include "common/durable_file.hh"
 #include "common/logging.hh"
-#include "common/metrics.hh"
 #include "isa/trace_io.hh"
-
-namespace fs = std::filesystem;
 
 namespace icfp {
 
 namespace {
 
-/** Registry mirrors of stats_ (the scrape surface; stats_ stays the
- *  per-store accessor several stores in one process rely on). */
-void
-countStoreEvent(const char *name)
-{
-    metrics::counter(std::string("icfp_trace_store_") + name).inc();
-}
-
-constexpr char kStoreMagic[8] = {'I', 'C', 'F', 'P', 'S', 'T', 'R', '1'};
 constexpr const char *kStoreSuffix = ".trc";
 
-/** Little-endian u64, mirroring trace_io's primitive encoding. */
-void
-putU64(std::string *out, uint64_t v)
+/** The blob key: u64(length) + keyString(). */
+std::string
+blobKey(const TraceId &id)
 {
-    for (int i = 0; i < 8; ++i)
-        out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint64_t
-getU64(const std::string &s, size_t at)
-{
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(static_cast<uint8_t>(s[at + i]))
-             << (8 * i);
-    return v;
-}
-
-/** Read a whole file as bytes; std::nullopt if unreadable. */
-std::optional<std::string>
-readFileBytes(const fs::path &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt;
-    std::ostringstream os;
-    os << is.rdbuf();
-    if (!is.good() && !is.eof())
-        return std::nullopt;
-    return os.str();
-}
-
-void
-removeQuietly(const fs::path &path)
-{
-    std::error_code ec;
-    fs::remove(path, ec);
+    const std::string text = id.keyString();
+    std::string key;
+    putU64(&key, text.size());
+    return key + text;
 }
 
 } // namespace
-
-uint64_t
-fnv1a64(const void *data, size_t size)
-{
-    const auto *bytes = static_cast<const uint8_t *>(data);
-    uint64_t hash = 14695981039346656037ull;
-    for (size_t i = 0; i < size; ++i) {
-        hash ^= bytes[i];
-        hash *= 1099511628211ull;
-    }
-    return hash;
-}
 
 std::string
 TraceId::keyString() const
@@ -120,33 +58,9 @@ TraceId::fileName() const
 }
 
 TraceStore::TraceStore(std::string dir, uint64_t max_bytes)
-    : dir_(std::move(dir)), max_bytes_(max_bytes)
+    : blobs_(std::move(dir), "ICFPSTR1", kStoreSuffix, "trace_store",
+             "icfp_trace_store_", max_bytes)
 {
-    std::error_code ec;
-    fs::create_directories(dir_, ec);
-    if (ec) {
-        ICFP_WARN("trace store: cannot create %s: %s", dir_.c_str(),
-                  ec.message().c_str());
-        return;
-    }
-
-    // Reclaim temp files orphaned by killed writers. They are invisible
-    // to the LRU cap (which scans *.trc only), so without this a
-    // crash-looping shard would grow the directory past any cap. The
-    // age threshold keeps live writers (ms between write and rename)
-    // safe even with modest clock skew on shared filesystems.
-    const auto stale_before =
-        fs::file_time_type::clock::now() - std::chrono::minutes(15);
-    for (const fs::directory_entry &de : fs::directory_iterator(dir_, ec)) {
-        if (de.path().filename().string().find(".trc.tmp.") ==
-            std::string::npos) {
-            continue;
-        }
-        std::error_code fe;
-        const fs::file_time_type mtime = de.last_write_time(fe);
-        if (!fe && mtime < stale_before)
-            removeQuietly(de.path());
-    }
 }
 
 std::shared_ptr<TraceStore>
@@ -171,147 +85,26 @@ TraceStore::maxBytesFromEnv()
 std::optional<Trace>
 TraceStore::load(const TraceId &id)
 {
-    const fs::path path = fs::path(dir_) / id.fileName();
-    const std::optional<std::string> bytes = readFileBytes(path);
-    if (!bytes) {
-        countStoreEvent("misses");
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.misses;
+    std::optional<std::string> payload =
+        blobs_.get(id.fileName(), blobKey(id));
+    if (!payload)
         return std::nullopt;
-    }
-
-    // Header: magic, key length + key, payload hash, payload length.
-    const std::string key = id.keyString();
-    const size_t header = sizeof(kStoreMagic) + 8 + key.size() + 8 + 8;
-    bool ok = bytes->size() >= header &&
-              bytes->compare(0, sizeof(kStoreMagic), kStoreMagic,
-                             sizeof(kStoreMagic)) == 0 &&
-              getU64(*bytes, sizeof(kStoreMagic)) == key.size() &&
-              bytes->compare(sizeof(kStoreMagic) + 8, key.size(), key) == 0;
-    if (ok) {
-        const uint64_t hash = getU64(*bytes, header - 16);
-        const uint64_t size = getU64(*bytes, header - 8);
-        ok = bytes->size() == header + size &&
-             fnv1a64(bytes->data() + header, size) == hash;
-    }
-    if (!ok) {
-        // Truncated, bit-flipped, or a colliding/renamed file: drop it so
-        // the regenerated trace can be stored cleanly.
-        removeQuietly(path);
-        countStoreEvent("corrupt");
-        countStoreEvent("misses");
-        std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.corrupt;
-        ++stats_.misses;
-        return std::nullopt;
-    }
-
-    // LRU touch (best effort): a hit makes this file newest.
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
-
-    // Move the file bytes into the stream (no payload copy) and seek
-    // past the verified header.
-    std::istringstream is(std::move(*bytes));
-    is.seekg(static_cast<std::streamoff>(header));
-    Trace trace = readTrace(is);
-    countStoreEvent("hits");
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.hits;
-    return trace;
+    // Move the payload into the stream (no copy).
+    std::istringstream is(std::move(*payload));
+    return readTrace(is);
 }
 
 void
 TraceStore::store(const TraceId &id, const Trace &trace)
 {
-    std::ostringstream payload_os;
-    writeTrace(payload_os, trace);
-    const std::string payload = payload_os.str();
-    const std::string key = id.keyString();
-
-    std::string blob(kStoreMagic, sizeof(kStoreMagic));
-    putU64(&blob, key.size());
-    blob += key;
-    putU64(&blob, fnv1a64(payload.data(), payload.size()));
-    putU64(&blob, payload.size());
-    blob += payload;
-
-    // Durable publish (fsync-then-rename): an un-fsynced rename can
-    // survive a crash that its data blocks do not, and a zero-filled
-    // .trc would cost a corrupt-detect-regenerate round trip on every
-    // restart. The store stays an optimization, so a failed write only
-    // warns. Concurrent writers of the same id race benignly through
-    // unique temps (deterministic generation: both candidates are
-    // identical).
-    const fs::path path = fs::path(dir_) / id.fileName();
+    std::ostringstream payload;
+    writeTrace(payload, trace);
+    // The store stays an optimization, so a failed write only warns.
     std::string err;
-    if (!writeFileDurable(path.string(), blob, "trace_store", &err)) {
+    if (!blobs_.put(id.fileName(), blobKey(id), std::move(payload).str(),
+                    &err)) {
         ICFP_WARN("trace store: %s", err.c_str());
-        return;
     }
-
-    countStoreEvent("writes");
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++stats_.writes;
-    if (max_bytes_ > 0)
-        evictLocked(id.fileName());
-}
-
-void
-TraceStore::evictLocked(const std::string &keep_file)
-{
-    struct Entry
-    {
-        fs::path path;
-        uint64_t size;
-        fs::file_time_type mtime;
-    };
-    std::vector<Entry> entries;
-    uint64_t total = 0;
-    std::error_code ec;
-    for (const fs::directory_entry &de : fs::directory_iterator(dir_, ec)) {
-        const fs::path &p = de.path();
-        if (p.extension() != kStoreSuffix)
-            continue;
-        // Separate error codes: a successful second stat must not mask
-        // a failed first one (a concurrently-replaced file could
-        // otherwise contribute a garbage size to the running total).
-        std::error_code size_ec, time_ec;
-        const uint64_t size = de.file_size(size_ec);
-        const fs::file_time_type mtime = de.last_write_time(time_ec);
-        if (size_ec || time_ec)
-            continue;
-        entries.push_back({p, size, mtime});
-        total += size;
-    }
-    if (ec || total <= max_bytes_)
-        return;
-
-    // Oldest first; ties broken by name for determinism. The file just
-    // published is never evicted (it is what the caller is about to use).
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  if (a.mtime != b.mtime)
-                      return a.mtime < b.mtime;
-                  return a.path.filename() < b.path.filename();
-              });
-    for (const Entry &e : entries) {
-        if (total <= max_bytes_)
-            break;
-        if (e.path.filename() == keep_file)
-            continue;
-        removeQuietly(e.path);
-        total -= e.size;
-        ++stats_.evictions;
-        countStoreEvent("evictions");
-    }
-}
-
-TraceStore::Stats
-TraceStore::stats() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
 }
 
 } // namespace icfp

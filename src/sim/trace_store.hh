@@ -7,19 +7,11 @@
  * sharded-sweep workflow: every shard of a grid, on any machine sharing
  * the directory, replays byte-identical traces.
  *
- * Durability properties:
- *  - every file carries the request key and an FNV-1a hash of the trace
- *    payload in its header; a mismatch (truncation, bit rot, filename
- *    collision) is detected on load, the file is deleted, and the caller
- *    regenerates — corruption can cost time, never correctness;
- *  - writes go to a unique temp file and are published with an atomic
- *    rename, so concurrent readers/writers (shards on a shared
- *    filesystem) never observe partial files;
- *  - an optional byte-size cap is enforced by LRU eviction (hits
- *    refresh the file's modification time).
- *
- * All I/O failures degrade to cache misses with a warning: the store is
- * an optimization and must never take a sweep down.
+ * The store is a codec over common/blob_store.hh, which owns the file
+ * format, its integrity checks, durable publication, the LRU byte cap
+ * and the counters. Entries are `ICFPSTR1` files named `*.trc`, keyed
+ * by u64(length) + TraceId::keyString(); fault points are
+ * `trace_store.*` and metrics `icfp_trace_store_*`.
  */
 
 #ifndef ICFP_SIM_TRACE_STORE_HH
@@ -27,10 +19,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 
+#include "common/blob_store.hh"
 #include "isa/interpreter.hh"
 
 namespace icfp {
@@ -72,21 +64,11 @@ struct TraceId
     std::string fileName() const;
 };
 
-/** 64-bit FNV-1a over @p size bytes (the store's content hash). */
-uint64_t fnv1a64(const void *data, size_t size);
-
 /** A persistent, integrity-checked, size-capped trace cache directory. */
 class TraceStore
 {
   public:
-    struct Stats
-    {
-        uint64_t hits = 0;      ///< load() served from disk
-        uint64_t misses = 0;    ///< load() found nothing usable
-        uint64_t writes = 0;    ///< store() published a file
-        uint64_t corrupt = 0;   ///< bad header/hash detected (and removed)
-        uint64_t evictions = 0; ///< files removed by the LRU cap
-    };
+    using Stats = BlobStore::Stats;
 
     /**
      * @param dir cache directory (created if absent)
@@ -118,17 +100,11 @@ class TraceStore
      */
     void store(const TraceId &id, const Trace &trace);
 
-    Stats stats() const;
-    const std::string &dir() const { return dir_; }
-    uint64_t maxBytes() const { return max_bytes_; }
+    Stats stats() const { return blobs_.stats(); }
+    const std::string &dir() const { return blobs_.dir(); }
 
   private:
-    void evictLocked(const std::string &keep_file);
-
-    std::string dir_;
-    uint64_t max_bytes_;
-    mutable std::mutex mutex_; ///< guards stats_ and eviction scans
-    Stats stats_;
+    BlobStore blobs_;
 };
 
 } // namespace icfp

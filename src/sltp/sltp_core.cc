@@ -154,18 +154,6 @@ SltpCore::tailLoad(const DynInst &di)
     }
 
     const RegVal value = memImage_.read(di.addr);
-#ifdef ICFP_DEBUG_SLTP
-    if (value != di.result()) {
-        std::fprintf(stderr,
-            "SLTP MISMATCH tail=%zu pc=%u addr=%lx got=%lx want=%lx "
-            "inEpoch=%d inRally=%d chk=%zu srl=%zu op=%d src1=%d\n",
-            tailIdx_, di.pc, di.addr, value, di.result(), int(inEpoch_),
-            int(inRally_), chkIdx_, srl_.size(), int(di.op), int(di.src1));
-        for (const auto &e : srl_)
-            std::fprintf(stderr, "  srl seq=%lu addr=%lx val=%lx p=%d\n",
-                         e.seq, e.addr, e.value, int(e.poisoned));
-    }
-#endif
     ICFP_ASSERT(value == di.result());
     rf0_.write(di.dst, value, seq);
     setDstReady(di, r.doneAt);

@@ -34,14 +34,14 @@ constexpr unsigned kMaxChains = 4;
 RegId
 coldChaseReg(unsigned chain)
 {
-    return chain == 0 ? kRChase0
+    return chain == 0 ? static_cast<RegId>(kRChase0)
                       : static_cast<RegId>(kRChaseExtra + chain - 1);
 }
 
 RegId
 warmChaseReg(unsigned chain)
 {
-    return chain == 0 ? kRWarmChase0
+    return chain == 0 ? static_cast<RegId>(kRWarmChase0)
                       : static_cast<RegId>(kRWarmChaseExtra + chain - 1);
 }
 

@@ -200,8 +200,9 @@ TEST(ChainedSb, FullyAssocMatchesChainedResults)
         const SbLookupResult rc = chained.lookup(probe, ls, nullptr);
         const SbLookupResult ra = assoc.lookup(probe, ls, nullptr);
         ASSERT_EQ(rc.found, ra.found) << "step " << step;
-        if (rc.found)
+        if (rc.found) {
             ASSERT_EQ(rc.value, ra.value) << "step " << step;
+        }
     }
 }
 

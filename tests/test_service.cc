@@ -825,10 +825,10 @@ TEST(ResultCacheTest, DiskTierPersistsAcrossInstances)
     const std::optional<std::string> hit = warm.lookup(0x1234);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(*hit, "persisted artifact bytes");
-    EXPECT_EQ(warm.stats().diskHits, 1u);
+    EXPECT_EQ(warm.diskStats().hits, 1u);
     // Promoted: the second lookup is a pure memory hit.
     EXPECT_TRUE(warm.lookup(0x1234).has_value());
-    EXPECT_EQ(warm.stats().diskHits, 1u);
+    EXPECT_EQ(warm.diskStats().hits, 1u);
     EXPECT_EQ(warm.stats().hits, 2u);
     fs::remove_all(dir);
 }
@@ -849,7 +849,7 @@ TEST(ResultCacheTest, TruncatedDiskEntryDetectedDeletedRecomputed)
 
     ResultCache cache(1 << 20, dir);
     EXPECT_FALSE(cache.lookup(7).has_value());
-    EXPECT_EQ(cache.stats().diskCorrupt, 1u);
+    EXPECT_EQ(cache.diskStats().corrupt, 1u);
     EXPECT_FALSE(fs::exists(entry)); // deleted, not retried forever
 
     // The recompute path re-publishes cleanly.
@@ -884,6 +884,27 @@ TEST(ResultCacheTest, DiskTierHonorsByteCapByRecency)
     // Memory still serves both; only the disk tier was trimmed.
     EXPECT_TRUE(cache.lookup(1).has_value());
     EXPECT_TRUE(cache.lookup(2).has_value());
+    fs::remove_all(dir);
+}
+
+TEST(ResultCacheTest, DiskEvictionIsCounted)
+{
+    // The disk tier shares the blob store's counters: an entry the byte
+    // cap pushes off disk is counted per cache and in the registry.
+    const std::string dir = makeTempDir();
+    metrics::Counter &evictions =
+        metrics::counter("icfp_result_cache_disk_evictions");
+    const uint64_t before = evictions.value();
+    const std::string payload(100, 'x'); // entry file ≈ 132 bytes
+    ResultCache cache(200, dir);
+    cache.insert(1, payload);
+    EXPECT_EQ(cache.diskStats().evictions, 0u);
+    cache.insert(2, payload);
+    EXPECT_EQ(cache.diskStats().writes, 2u);
+    EXPECT_EQ(cache.diskStats().evictions, 1u);
+    EXPECT_EQ(evictions.value(), before + 1);
+    // The memory tier evicted nothing: both entries still fit there.
+    EXPECT_EQ(cache.stats().evictions, 0u);
     fs::remove_all(dir);
 }
 

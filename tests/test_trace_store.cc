@@ -7,7 +7,9 @@
  * integration that makes a second sweep over the same grid perform
  * zero trace generations, and the fault-injected crash-durability
  * paths (fsync failure degrades the store, a torn publication is
- * caught by the reader's checksum and regenerated).
+ * caught by the reader's checksum and regenerated), plus a pin of the
+ * shared blob-store file format that trace-store and result-cache
+ * directories written by earlier builds rely on.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +20,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/blob_store.hh"
 #include "common/fault_inject.hh"
 #include "isa/trace_io.hh"
+#include "service/result_cache.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 #include "sim/trace_store.hh"
@@ -421,6 +425,76 @@ TEST_F(TraceStoreTest, ShortWriteFaultReportsFailureAndSkips)
     store.store(id, genTrace("gzip", 1000));
     EXPECT_EQ(store.stats().writes, 0u);
     EXPECT_TRUE(fs::is_empty(dir_));
+}
+
+/** @p v as 8 little-endian bytes (spelled out here, independent of the
+ *  store's own encoder, so the test pins the layout). */
+std::string
+le64(uint64_t v)
+{
+    std::string out;
+    for (int i = 0; i < 8; ++i)
+        out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    return out;
+}
+
+std::string
+readAll(const fs::path &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    std::ostringstream os;
+    os << is.rdbuf();
+    return os.str();
+}
+
+TEST_F(TraceStoreTest, OnDiskFormatIsPinned)
+{
+    // Both stores share one file layout:
+    //   magic | key | u64 FNV-1a(payload) | u64 size | payload
+    // with the trace store keying by u64(len) + keyString() and the
+    // result cache by u64(key). Files hand-built to that layout must
+    // serve as hits, and what the stores write must be the same bytes,
+    // so directories warmed by earlier builds stay warm.
+    const TraceId id{"gzip", 1000, std::nullopt};
+    const Trace trace = genTrace("gzip", 1000);
+    const std::string payload = traceBytes(trace);
+    const std::string key = id.keyString();
+    const std::string trc = "ICFPSTR1" + le64(key.size()) + key +
+                            le64(fnv1a64(payload.data(), payload.size())) +
+                            le64(payload.size()) + payload;
+    const fs::path trc_path = fs::path(dir_) / "gzip-i1000.trc";
+    std::ofstream(trc_path, std::ios::binary) << trc;
+
+    TraceStore store(dir_);
+    const std::optional<Trace> loaded = store.load(id);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(traceBytes(*loaded), payload);
+    EXPECT_EQ(store.stats().hits, 1u);
+    EXPECT_EQ(store.stats().corrupt, 0u);
+    fs::remove(trc_path);
+    store.store(id, trace);
+    EXPECT_EQ(readAll(trc_path), trc);
+
+    const uint64_t res_key = 0x0123456789abcdefull;
+    const std::string artifact = "bench,core,cycles\ngzip,icfp,42\n";
+    const std::string res =
+        "ICFPRES1" + le64(res_key) +
+        le64(fnv1a64(artifact.data(), artifact.size())) +
+        le64(artifact.size()) + artifact;
+    const std::string cache_dir = dir_ + "/results";
+    fs::create_directories(cache_dir);
+    const fs::path res_path = fs::path(cache_dir) / "0123456789abcdef.res";
+    std::ofstream(res_path, std::ios::binary) << res;
+
+    service::ResultCache cache(1 << 20, cache_dir);
+    service::CacheTier tier = service::CacheTier::None;
+    EXPECT_EQ(cache.lookup(res_key, &tier).value_or(""), artifact);
+    EXPECT_EQ(tier, service::CacheTier::Disk);
+    EXPECT_EQ(cache.diskStats().hits, 1u);
+    fs::remove(res_path);
+    service::ResultCache writer(1 << 20, cache_dir);
+    writer.insert(res_key, artifact);
+    EXPECT_EQ(readAll(res_path), res);
 }
 
 TEST_F(TraceStoreTest, Fnv1aMatchesReferenceVectors)
