@@ -92,9 +92,11 @@ writeFileDurable(const std::string &path, const std::string &bytes,
         return false;
     }
 
-    if (ICFP_FAULT_POINT((prefix + ".fsync").c_str()) ||
-        ::fsync(fd) != 0) {
-        const int err = errno ? errno : EIO;
+    // An injected fault reports EIO: errno is whatever the last libc
+    // call happened to leave there.
+    const bool fsync_fault = ICFP_FAULT_POINT((prefix + ".fsync").c_str());
+    if (fsync_fault || ::fsync(fd) != 0) {
+        const int err = fsync_fault ? EIO : errno;
         ::close(fd);
         removeQuietly(tmp);
         fillError(error, "fsync " + tmp, err);
@@ -107,9 +109,9 @@ writeFileDurable(const std::string &path, const std::string &bytes,
         return false;
     }
 
-    if (ICFP_FAULT_POINT((prefix + ".rename").c_str()) ||
-        ::rename(tmp.c_str(), path.c_str()) != 0) {
-        const int err = errno ? errno : EIO;
+    const bool rename_fault = ICFP_FAULT_POINT((prefix + ".rename").c_str());
+    if (rename_fault || ::rename(tmp.c_str(), path.c_str()) != 0) {
+        const int err = rename_fault ? EIO : errno;
         removeQuietly(tmp);
         fillError(error, "rename " + tmp + " -> " + path, err);
         return false;

@@ -331,7 +331,7 @@ escapeLabelValue(const std::string &value)
 }
 
 // ------------------------------------------------------------------
-// Exposition parse / relabel / merge
+// Exposition parse / render
 
 std::vector<ExpositionFamily>
 parseExposition(const std::string &text)
@@ -411,62 +411,6 @@ renderExpositionJson(const std::vector<ExpositionFamily> &families)
     }
     out += first ? "}" : "\n}";
     return out;
-}
-
-void
-addLabelToFamilies(std::vector<ExpositionFamily> *families,
-                   const std::string &label, const std::string &value)
-{
-    const std::string injected =
-        label + "=\"" + escapeLabelValue(value) + "\"";
-    for (ExpositionFamily &family : *families) {
-        for (auto &[name, sample_value] : family.samples) {
-            (void)sample_value;
-            const size_t brace = name.find('{');
-            if (brace == std::string::npos) {
-                name += "{" + injected + "}";
-            } else {
-                name.insert(brace + 1, injected + ",");
-            }
-        }
-    }
-}
-
-std::string
-mergeExpositions(
-    const std::string &local_text,
-    const std::vector<std::pair<std::string, std::string>> &peer_texts)
-{
-    // Merge by base name: the local family first, then each peer's
-    // samples (peer-labelled) in the given order. A base only a peer
-    // exports still gets its TYPE from that peer's exposition.
-    std::map<std::string, ExpositionFamily> by_base;
-    const auto absorb = [&](std::vector<ExpositionFamily> families) {
-        for (ExpositionFamily &family : families) {
-            auto [it, inserted] =
-                by_base.try_emplace(family.base, ExpositionFamily{});
-            ExpositionFamily &merged = it->second;
-            if (inserted) {
-                merged.base = family.base;
-                merged.kind = family.kind;
-            }
-            merged.samples.insert(
-                merged.samples.end(),
-                std::make_move_iterator(family.samples.begin()),
-                std::make_move_iterator(family.samples.end()));
-        }
-    };
-    absorb(parseExposition(local_text));
-    for (const auto &[spec, text] : peer_texts) {
-        std::vector<ExpositionFamily> families = parseExposition(text);
-        addLabelToFamilies(&families, "peer", spec);
-        absorb(std::move(families));
-    }
-    std::vector<ExpositionFamily> families;
-    families.reserve(by_base.size());
-    for (auto &[base, family] : by_base)
-        families.push_back(std::move(family));
-    return renderExpositionText(families);
 }
 
 std::string

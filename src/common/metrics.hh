@@ -18,9 +18,8 @@
  *    share one code path — the Prometheus text format (`# TYPE` +
  *    samples) and a flat JSON object (sample name -> value) that
  *    stdlib `json.loads` and the frame-protocol ethos both like.
- *  - The coordinator's fleet rollup is plain data surgery on the text
- *    format: parseExposition() -> inject a `peer="…"` label into every
- *    sample -> merge families -> re-render. No second wire format.
+ *  - The JSON form is derived from the text format (parseExposition()
+ *    -> renderExpositionJson()), so there is no second wire format.
  *  - Everything here is out-of-band by construction: instruments are
  *    observed, never read back into simulation or report code, so all
  *    artifacts stay byte-identical with metrics enabled.
@@ -193,8 +192,8 @@ Histogram &histogram(const std::string &name,
 std::string escapeLabelValue(const std::string &value);
 
 // ------------------------------------------------------------------
-// Exposition plumbing (parse / relabel / merge) — what the
-// coordinator's fleet rollup and the --json renderer are built from.
+// Exposition plumbing (parse / render) — what the --json renderer is
+// built from.
 
 /** One exposition family: a `# TYPE` line plus its sample lines
  *  (sample name with labels, integer value), in emission order. */
@@ -205,9 +204,9 @@ struct ExpositionFamily
     std::vector<std::pair<std::string, int64_t>> samples;
 };
 
-/** Parse a text exposition produced by textExposition() (or a merge of
- *  them). Unknown/blank lines are skipped; samples seen before any
- *  `# TYPE` become their own untyped family. */
+/** Parse a text exposition produced by textExposition(). Unknown/blank
+ *  lines are skipped; samples seen before any `# TYPE` become their own
+ *  untyped family. */
 std::vector<ExpositionFamily> parseExposition(const std::string &text);
 
 /** Render families back to the text format (family order preserved). */
@@ -216,23 +215,7 @@ std::string renderExpositionText(const std::vector<ExpositionFamily> &families);
 /** Render families as the flat JSON object form. */
 std::string renderExpositionJson(const std::vector<ExpositionFamily> &families);
 
-/** Inject `label="value"` as the first label of every sample. */
-void addLabelToFamilies(std::vector<ExpositionFamily> *families,
-                        const std::string &label, const std::string &value);
-
-/**
- * The coordinator rollup: local exposition text merged with each
- * (peer-spec, exposition-text) scrape. Peer samples gain a
- * `peer="<spec>"` label; families are merged by base name (local
- * samples first, then peers in the given order) and sorted by base, so
- * the result is itself a valid, deterministic exposition.
- */
-std::string mergeExpositions(
-    const std::string &local_text,
-    const std::vector<std::pair<std::string, std::string>> &peer_texts);
-
-/** Text exposition -> the flat JSON object form (used when a rollup
- *  built in text form is requested as JSON). */
+/** Text exposition -> the flat JSON object form. */
 std::string expositionTextToJson(const std::string &text);
 
 // ------------------------------------------------------------------

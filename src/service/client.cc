@@ -10,7 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "service/federation/transport.hh"
+#include "service/transport.hh"
 
 namespace icfp {
 namespace service {
@@ -49,7 +49,7 @@ ServiceClient::ServiceClient(const std::string &socket_path,
 void
 ServiceClient::connectOnce(const std::string &socket_path)
 {
-    // The spec names either transport (federation/transport.hh): a Unix
+    // The spec names either transport (service/transport.hh): a Unix
     // path or a TCP host:port — the frame protocol is identical on both.
     fd_ = connectSpec(socket_path);
 

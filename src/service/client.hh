@@ -1,11 +1,11 @@
 /**
  * @file
  * Client side of the simulation service: connect to a daemon's endpoint
- * (a Unix socket path or a TCP host:port — see federation/transport.hh
- * for the spec grammar), verify the versioned handshake, and exchange
+ * (a Unix socket path or a TCP host:port — see service/transport.hh for
+ * the spec grammar), verify the versioned handshake, and exchange
  * frames. Wraps the blocking socket plumbing so the CLI verbs
- * (`icfp-sim submit / status / result / ping / cancel`), the federation
- * peer pool, and the tests are one-liners over frames.
+ * (`icfp-sim submit / status / result / ping / cancel`) and the tests
+ * are one-liners over frames.
  *
  * @code
  *   ServiceClient client("/run/icfp.sock");   // connects + checks hello
@@ -38,7 +38,7 @@
 
 #include <string>
 
-#include "service/federation/transport.hh" // ConnectError, endpoint specs
+#include "service/transport.hh" // ConnectError, endpoint specs
 #include "service/protocol.hh"
 
 namespace icfp {

@@ -1,6 +1,6 @@
 /**
  * @file
- * The one formatter behind every service/federation stderr ledger line.
+ * The one formatter behind every service stderr ledger line.
  *
  * Every line is prefixed
  *

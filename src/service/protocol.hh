@@ -35,10 +35,9 @@
  * `metrics` (additive, still v1) scrapes the daemon's metrics registry
  * (common/metrics.hh). The request may carry format ("text", the
  * Prometheus exposition, or "json", the flat JSON object) and scope
- * ("fleet", the default — a coordinator merges a peer-labelled scrape
- * of every healthy peer into its own exposition — or "local", just
- * this daemon; the coordinator scrapes its peers with scope=local).
- * The response carries the exposition in payload plus uptime_sec.
+ * ("fleet", the default, or "local"; any other value is rejected).
+ * Both scopes answer with this daemon's own exposition. The response
+ * carries the exposition in payload plus uptime_sec.
  *
  * `cancel` names a job id; queued jobs are removed immediately, running
  * jobs are cancelled cooperatively at the engine's next row boundary.
@@ -47,7 +46,7 @@
  * Both are additive — an old client simply never sends them — so the
  * protocol version stays 1.
  *
- * Federation rides on the same vocabulary, still v1-additive:
+ * Two more v1-additive fields:
  *
  *  - `submit` may carry shard ("i/N", 1-based): the daemon runs only
  *    that round-robin slice of the grid and answers a shard-framed
@@ -56,11 +55,7 @@
  *    Malformed shard values are rejected with an error frame.
  *  - `status` WITHOUT a job id answers for the daemon itself: proto,
  *    fp, queue_depth, active, queued, draining, completed, failed,
- *    running_job (present only while a job runs) — and, on a
- *    federation coordinator, peers plus flat per-peer health groups
- *    (peer<i>, peer<i>_state, peer<i>_fp, peer<i>_rtt_us,
- *    peer<i>_inflight, peer<i>_active, peer<i>_depth, peer<i>_error).
- *    This frame doubles as the coordinator's peer health poll.
+ *    running_job (present only while a job runs).
  *
  * `submit` carries a sweep request (suite, benches, cores, insts, seed,
  * format) and an optional wait flag; the server answers `submitted`

@@ -54,7 +54,7 @@ namespace service {
  * parameter (rather than read from the live registries) so tests can
  * prove that a bumped defVersion or sim version moves the key; callers
  * pass registryFingerprint(). @p shard_identity distinguishes a shard
- * artifact (a federation slice: "#shard"-framed bytes of a grid slice)
+ * artifact (a shard submit: "#shard"-framed bytes of a grid slice)
  * from the full-grid artifact of the same jobs — pass e.g. "shard=1/3"
  * for slice requests, "" for whole-grid ones. Without it, a shard 1/2
  * submit of {a,b} and a full submit of {a} would expand to the same

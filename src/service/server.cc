@@ -1,9 +1,5 @@
 #include "service/server.hh"
 
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-
 #include <filesystem>
 
 #include <poll.h>
@@ -13,7 +9,6 @@
 
 #include "common/durable_file.hh"
 #include "common/logging.hh"
-#include "service/client.hh"
 #include "service/ledger.hh"
 #include "sim/merge.hh"
 #include "sim/report.hh"
@@ -25,20 +20,6 @@ namespace icfp {
 namespace service {
 
 namespace {
-
-/** Inverse of splitCommaList for the normalized request fields a
- *  coordinator forwards to peers. */
-std::string
-joinComma(const std::vector<std::string> &items)
-{
-    std::string out;
-    for (const std::string &item : items) {
-        if (!out.empty())
-            out += ',';
-        out += item;
-    }
-    return out;
-}
 
 std::string
 shardText(const ShardSpec &shard)
@@ -89,8 +70,6 @@ Server::~Server()
     if (acceptThread_.joinable() || dispatchThread_.joinable()) {
         requestDrain();
         join();
-    } else if (pool_) {
-        pool_->stop();
     }
 }
 
@@ -99,21 +78,10 @@ Server::start()
 {
     // The Unix listener carries the daemon's safety guards (refuse a
     // non-socket file, refuse a live daemon, reclaim a stale socket);
-    // the optional TCP listener is what lets this daemon be a
-    // federation peer for coordinators on other hosts.
+    // the optional TCP listener serves clients on other hosts.
     unixListener_ = Listener::listenUnix(options_.socketPath);
     if (!options_.listenTcp.empty())
         tcpListener_ = Listener::listenTcp(options_.listenTcp);
-
-    if (!options_.peers.empty()) {
-        pool_ = std::make_unique<PeerPool>(
-            options_.peers, fingerprintHex(registryFingerprint()));
-        CoordinatorOptions copts;
-        copts.sliceDeadlineSec = options_.sliceDeadlineSec;
-        coordinator_ =
-            std::make_unique<Coordinator>(*pool_, engine_, copts);
-        pool_->start();
-    }
 
     startUs_ = metrics::nowMicros();
     ledgerLine("listening on %s (jobs=%u queue-depth=%zu fp=%s)",
@@ -122,10 +90,6 @@ Server::start()
                fingerprintHex(registryFingerprint()).c_str());
     if (tcpListener_.valid())
         ledgerLine("listening on tcp %s", tcpListener_.boundSpec().c_str());
-    if (pool_) {
-        ledgerLine("federation coordinator over %zu peer(s)",
-                   pool_->size());
-    }
     if (options_.jobTraceDir)
         ledgerLine("job traces publish to %s", options_.jobTraceDir->c_str());
     acceptThread_ = std::thread(&Server::acceptLoop, this);
@@ -155,11 +119,6 @@ Server::join()
     watchdogStop_.store(true);
     if (watchdogThread_.joinable())
         watchdogThread_.join();
-    // The pool outlives the dispatcher (federated jobs executing during
-    // the drain still dispatch and collect slices); with the dispatcher
-    // gone, nothing uses it anymore.
-    if (pool_)
-        pool_->stop();
 
     // Every job is now Done/Failed and every waiting submitter has been
     // notified; unblock handler threads parked in read() so they see
@@ -387,8 +346,6 @@ Server::executeJob(const std::shared_ptr<Job> &job)
     bool was_cancelled = false;
     std::string artifact;
     std::string error;
-    FederatedOutcome fed;
-    bool federated = false;
     CacheTier tier = CacheTier::None;
     std::optional<std::string> hit = cache_.lookup(job->fingerprint, &tier);
     if (job->spanLog) {
@@ -400,63 +357,26 @@ Server::executeJob(const std::shared_ptr<Job> &job)
         cached = true;
     } else {
         try {
+            const std::vector<SweepResult> results =
+                engine_.run(job->grid, job->insts, job->seed,
+                            &job->cancelRequested, job->spanLog.get());
+            const uint64_t emit_start = metrics::nowMicros();
+            // A shard submit answers its slice framed for sim/merge.hh.
             if (job->shard) {
-                // A dispatched slice: this daemon is the peer. Run the
-                // slice locally and frame it as a shard artifact the
-                // coordinator's merge re-interleaves.
-                const std::vector<SweepResult> results =
-                    engine_.run(job->grid, job->insts, job->seed,
-                                &job->cancelRequested, job->spanLog.get());
-                const uint64_t emit_start = metrics::nowMicros();
                 artifact =
                     job->format == "json"
                         ? shardJson(results, *job->shard, job->gridRows,
                                     job->gridFp)
                         : shardCsv(results, *job->shard, job->gridRows,
                                    job->gridFp);
-                if (job->spanLog) {
-                    job->spanLog->add(
-                        "report_emit", emit_start, metrics::nowMicros(),
-                        {{"bytes", std::to_string(artifact.size())}});
-                }
-            } else if (coordinator_) {
-                // A whole-grid submit on a coordinator: slice it across
-                // the healthy peers and merge the answers.
-                FederatedRequest freq;
-                freq.suite = job->suite;
-                freq.format = job->format;
-                freq.benches = job->benches;
-                freq.cores = job->cores;
-                freq.insts = job->insts;
-                freq.seed = job->seed;
-                freq.grid = job->grid;
-                freq.gridFp = job->gridFp;
-                const uint64_t fed_start = metrics::nowMicros();
-                fed = coordinator_->run(freq, &job->cancelRequested);
-                artifact = std::move(fed.artifact);
-                federated = true;
-                if (job->spanLog) {
-                    job->spanLog->add(
-                        "federation", fed_start, metrics::nowMicros(),
-                        {{"peers", std::to_string(fed.peers)},
-                         {"dispatched", std::to_string(fed.dispatched)},
-                         {"redispatched",
-                          std::to_string(fed.redispatched)},
-                         {"local_slices",
-                          std::to_string(fed.localSlices)}});
-                }
             } else {
-                const std::vector<SweepResult> results =
-                    engine_.run(job->grid, job->insts, job->seed,
-                                &job->cancelRequested, job->spanLog.get());
-                const uint64_t emit_start = metrics::nowMicros();
                 artifact = job->format == "json" ? sweepJson(results)
                                                  : sweepCsv(results);
-                if (job->spanLog) {
-                    job->spanLog->add(
-                        "report_emit", emit_start, metrics::nowMicros(),
-                        {{"bytes", std::to_string(artifact.size())}});
-                }
+            }
+            if (job->spanLog) {
+                job->spanLog->add(
+                    "report_emit", emit_start, metrics::nowMicros(),
+                    {{"bytes", std::to_string(artifact.size())}});
             }
             cache_.insert(job->fingerprint, artifact);
         } catch (const SweepCancelled &) {
@@ -521,27 +441,14 @@ Server::executeJob(const std::shared_ptr<Job> &job)
         ledgerLine(job->id, "fp=%s CANCELLED at row boundary",
                    fingerprintHex(job->fingerprint).c_str());
     } else if (error.empty()) {
-        // Federated jobs extend the ledger with the partial-failure
-        // counters ("… federation peers=3 dispatched=3 redispatched=1
-        // local=0"): CI greps redispatched= to prove a peer death was
-        // recovered from while the artifact stayed byte-identical.
-        char fed_suffix[128] = "";
-        if (federated) {
-            std::snprintf(fed_suffix, sizeof fed_suffix,
-                          " federation peers=%u dispatched=%u "
-                          "redispatched=%u local=%u%s",
-                          fed.peers, fed.dispatched, fed.redispatched,
-                          fed.localSlices,
-                          fed.degradedLocal ? " degraded" : "");
-        }
         ledgerLine(job->id,
                    "fp=%s cache=%s generations=%llu replays=%llu "
-                   "rows=%zu bytes=%zu%s",
+                   "rows=%zu bytes=%zu",
                    fingerprintHex(job->fingerprint).c_str(),
                    cached ? "hit" : "miss",
                    (unsigned long long)generations,
                    (unsigned long long)replays, job->grid.size(),
-                   job->artifact.size(), fed_suffix);
+                   job->artifact.size());
     } else {
         ledgerLine(job->id, "fp=%s FAILED: %s",
                    fingerprintHex(job->fingerprint).c_str(),
@@ -631,25 +538,6 @@ Server::daemonStatusFrame()
             }
         }
     }
-    if (pool_) {
-        // Flat per-peer field groups (the protocol has no nesting):
-        // peer0=…, peer0_state=…, peer0_rtt_us=…, …
-        const std::vector<PeerStatus> peers = pool_->statuses();
-        frame.addUint("peers", peers.size());
-        for (size_t i = 0; i < peers.size(); ++i) {
-            const std::string p = "peer" + std::to_string(i);
-            frame.addString(p, peers[i].spec);
-            frame.addString(p + "_state", peerStateName(peers[i].state));
-            if (!peers[i].fp.empty())
-                frame.addString(p + "_fp", peers[i].fp);
-            frame.addUint(p + "_rtt_us", peers[i].rttMicros);
-            frame.addUint(p + "_inflight", peers[i].inflight);
-            frame.addUint(p + "_active", peers[i].active);
-            frame.addUint(p + "_depth", peers[i].queueDepth);
-            if (!peers[i].error.empty())
-                frame.addString(p + "_error", peers[i].error);
-        }
-    }
     return frame;
 }
 
@@ -725,9 +613,8 @@ Server::handleSubmit(const Frame &request, std::shared_ptr<Job> *out)
     }
 
     // Shard field (additive, protocol stays v1): the submit names one
-    // slice of the grid — this daemon is being used as a federation
-    // peer (or a manual distributed run). The shard's artifact is
-    // sim/merge.hh-framed, not the plain report.
+    // slice of the grid. The shard's artifact is sim/merge.hh-framed,
+    // not the plain report.
     std::optional<ShardSpec> shard;
     if (request.has("shard")) {
         const std::string text = request.stringField("shard");
@@ -753,13 +640,6 @@ Server::handleSubmit(const Frame &request, std::shared_ptr<Job> *out)
     job->format = format;
     job->insts = insts;
     job->seed = seed;
-    // Normalized lists: what a coordinator forwards so a peer's
-    // expandGrid reproduces this grid exactly.
-    job->benches = joinComma(spec.benches);
-    std::vector<std::string> core_names;
-    for (const CoreKind kind : kinds)
-        core_names.push_back(coreKindName(kind));
-    job->cores = joinComma(core_names);
 
     std::vector<SweepJob> full = expandGrid(spec);
     job->gridRows = full.size();
@@ -836,50 +716,18 @@ Server::handleMetrics(const Frame &request)
     const std::string format = request.stringField("format", "text");
     if (format != "text" && format != "json")
         return errorFrame("metrics format must be text or json");
+    // Both scopes answer with this daemon's own exposition; the field
+    // is still validated so a malformed request fails loudly.
     const std::string scope = request.stringField("scope", "fleet");
     if (scope != "fleet" && scope != "local")
         return errorFrame("metrics scope must be fleet or local");
 
-    std::string text = metrics::Registry::instance().textExposition();
-    if (scope == "fleet" && pool_) {
-        // The rollup: scrape every healthy peer (scope=local so a peer
-        // that is itself a coordinator answers only for itself) and
-        // merge the expositions with a peer="spec" label. A failed
-        // scrape degrades to a partial rollup plus a counter — the
-        // coordinator's own metrics always answer.
-        std::vector<std::pair<std::string, std::string>> peer_texts;
-        for (const PeerStatus &peer : pool_->statuses()) {
-            if (peer.state != PeerState::Healthy)
-                continue;
-            try {
-                ClientOptions copts;
-                copts.timeoutSec = 5;
-                ServiceClient client(peer.spec, copts);
-                Frame scrape("metrics");
-                scrape.addString("format", "text");
-                scrape.addString("scope", "local");
-                Frame reply = client.request(scrape);
-                if (reply.type() != "metrics") {
-                    throw ProtocolError("peer answered '" + reply.type() +
-                                        "'");
-                }
-                peer_texts.emplace_back(peer.spec,
-                                        reply.stringField("payload"));
-            } catch (const std::exception &e) {
-                metrics::counter("icfp_metrics_scrape_failures").inc();
-                ledgerLine("metrics scrape of peer %s failed: %s",
-                           peer.spec.c_str(), e.what());
-            }
-        }
-        text = metrics::mergeExpositions(text, peer_texts);
-    }
-
+    const metrics::Registry &registry = metrics::Registry::instance();
     Frame frame("metrics");
     frame.addUint("uptime_sec", uptimeSec());
     frame.addString("format", format);
-    frame.addString("payload", format == "json"
-                                   ? metrics::expositionTextToJson(text)
-                                   : text);
+    frame.addString("payload", format == "json" ? registry.jsonExposition()
+                                               : registry.textExposition());
     return frame;
 }
 
@@ -986,9 +834,7 @@ Server::handleConnection(int fd, uint64_t conn_id)
                     request->uintField("job");
                 if (!id && type == "status") {
                     // No job id: answer for the daemon itself — queue
-                    // occupancy, identity, per-peer health. This is
-                    // both the CLI's `status` verb and the federation
-                    // health poll.
+                    // occupancy and identity (the CLI's `status` verb).
                     writeFrame(fd, daemonStatusFrame());
                     continue;
                 }

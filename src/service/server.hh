@@ -1,7 +1,8 @@
 /**
  * @file
- * The simulation service daemon: a Unix-domain-socket server that turns
- * the sweep engine into a long-lived, queryable experiment service.
+ * The simulation service daemon: a Unix-domain-socket server (plus an
+ * optional TCP listener, service/transport.hh) that turns the sweep
+ * engine into a long-lived, queryable experiment service.
  *
  * Architecture (one resident process, hot caches, many clients):
  *
@@ -38,6 +39,11 @@
  *    running job is finished, waiting clients receive their results,
  *    and join() returns after "drained cleanly" is logged.
  *
+ * One daemon runs each grid on its own host. A grid split across
+ * processes or hosts is `icfp-sim sweep --shard i/N` per process plus
+ * `icfp-sim merge` (sim/merge.hh); a shard-framed submit gives the same
+ * slice artifact from a daemon.
+ *
  * The class is embeddable (tests run it in-process against a temp
  * socket); `icfp-sim serve` wraps it with signal handling.
  */
@@ -59,9 +65,7 @@
 #include <vector>
 
 #include "common/metrics.hh"
-#include "service/federation/coordinator.hh"
-#include "service/federation/peer_pool.hh"
-#include "service/federation/transport.hh"
+#include "service/transport.hh"
 #include "service/protocol.hh"
 #include "service/result_cache.hh"
 #include "sim/sweep.hh"
@@ -86,13 +90,6 @@ struct ServerOptions
     /** Additional TCP listener, "host:port" (port 0 = ephemeral —
      *  tcpEndpoint() reports the bound one); "" = Unix socket only. */
     std::string listenTcp;
-    /** Peer daemon endpoints (`--peers`): non-empty turns this daemon
-     *  into a federation coordinator — whole-grid submits are sliced
-     *  across the healthy peers and merged byte-identically. */
-    std::vector<std::string> peers;
-    /** Straggler deadline per dispatched slice, in seconds (0 = none);
-     *  see CoordinatorOptions::sliceDeadlineSec. */
-    uint64_t sliceDeadlineSec = 0;
     /** Per-job Chrome-trace directory (`--job-trace-dir`): when set,
      *  every job's phase spans are durably published as
      *  `<dir>/job-<id>.trace.json` (loadable in chrome://tracing /
@@ -157,9 +154,6 @@ class Server
         return tcpListener_.boundSpec();
     }
 
-    /** The peer pool (null unless this daemon is a coordinator). */
-    PeerPool *peerPool() { return pool_.get(); }
-
     /** The shared engine (tests inspect its counters directly). */
     SweepEngine &engine() { return engine_; }
 
@@ -180,15 +174,11 @@ class Server
         uint64_t fingerprint = 0;    ///< resultCacheKey()
 
         /** Set for `submit` frames carrying a shard field: this job is
-         *  one slice of a larger grid (a federation dispatch) and its
-         *  artifact is shard-framed (sim/merge.hh). */
+         *  one slice of a larger grid and its artifact is shard-framed
+         *  (sim/merge.hh). */
         std::optional<ShardSpec> shard;
         uint64_t gridRows = 0; ///< full unsharded grid row count
         uint64_t gridFp = 0;   ///< gridFingerprint() of the full grid
-        /** Normalized comma lists ("all" expanded) — what a coordinator
-         *  forwards to peers so they re-expand the identical grid. */
-        std::string benches;
-        std::string cores;
 
         /** Cooperative cancel flag handed to SweepEngine::run(); set by
          *  the cancel verb or the deadline watchdog while the engine is
@@ -221,9 +211,7 @@ class Server
     void reapFinishedConnections();
     Frame handleSubmit(const Frame &request, std::shared_ptr<Job> *out);
     Frame handleCancel(const Frame &request);
-    /** The `metrics` scrape: local registry exposition; on a
-     *  coordinator with scope=fleet, merged with a peer-labelled
-     *  scrape of every healthy peer. */
+    /** The `metrics` scrape: the registry exposition, text or JSON. */
     Frame handleMetrics(const Frame &request);
     /** Durably publish the job's Chrome trace (no-op without a span
      *  log). Called before the job's completion is observable so a
@@ -237,9 +225,8 @@ class Server
     void finishJobLocked(const std::shared_ptr<Job> &job);
     Frame jobStatusFrame(const Job &job) const;
     Frame jobResultFrame(const Job &job) const;
-    /** The no-job `status` answer: daemon identity, queue occupancy,
-     *  the running job (if any), and — on a coordinator — one flat
-     *  field group per peer (peer<i>, peer<i>_state, …). */
+    /** The no-job `status` answer: daemon identity, queue occupancy
+     *  and the running job (if any). */
     Frame daemonStatusFrame();
     static const char *stateName(JobState state);
 
@@ -247,9 +234,6 @@ class Server
     SweepEngine engine_;
     ResultCache cache_;
     uint64_t startUs_ = 0; ///< start() instant (metrics::nowMicros())
-    /** Federation (only when options_.peers is non-empty). */
-    std::unique_ptr<PeerPool> pool_;
-    std::unique_ptr<Coordinator> coordinator_;
 
     Listener unixListener_;
     Listener tcpListener_; ///< valid only with options_.listenTcp

@@ -1,4 +1,4 @@
-#include "service/federation/transport.hh"
+#include "service/transport.hh"
 
 #include <cerrno>
 #include <cstdio>

@@ -2,31 +2,30 @@
  * @file
  * Transport abstraction for the frame protocol: the same NDJSON frames
  * (service/protocol.hh) run over Unix-domain stream sockets (the local
- * daemon case) and TCP (the federation case — peers on other hosts).
+ * daemon case) and TCP (clients on other hosts).
  *
  * An endpoint spec is one string, classified by shape:
  *
  *   "/run/icfp.sock"    → Unix-domain path (anything that is not
  *   "./svc.sock"          host:port — the historical --socket form)
  *   "127.0.0.1:7101"    → TCP host:port (last ':' followed by an
- *   "peer-3:7101"         all-digit port, no '/' in the spec)
+ *   "host-3:7101"         all-digit port, no '/' in the spec)
  *
  * Both sides use it: `serve --listen-tcp host:port` opens a TCP
- * Listener next to the Unix one, and every client verb's --socket (and
- * every `--peers` entry) accepts either form, so a coordinator can mix
- * local Unix peers and remote TCP peers freely. Frame framing is
- * transport-agnostic by construction — readFrame()/writeFrame() only
- * see an fd — so the poll-based whole-frame deadlines, the 16MB bound,
- * and the strict parser apply identically over TCP, partial reads and
- * torn frames included.
+ * Listener next to the Unix one, and every client verb's --socket
+ * accepts either form. Frame framing is transport-agnostic by
+ * construction — readFrame()/writeFrame() only see an fd — so the
+ * poll-based whole-frame deadlines, the 16MB bound, and the strict
+ * parser apply identically over TCP, partial reads and torn frames
+ * included.
  *
  * Connect-level failures throw ConnectError (the retryable subset of
  * ProtocolError: refused, unreachable, unresolvable, daemon died during
  * the handshake); everything else stays a plain ProtocolError.
  */
 
-#ifndef ICFP_SERVICE_FEDERATION_TRANSPORT_HH
-#define ICFP_SERVICE_FEDERATION_TRANSPORT_HH
+#ifndef ICFP_SERVICE_TRANSPORT_HH
+#define ICFP_SERVICE_TRANSPORT_HH
 
 #include <cstdint>
 #include <string>
@@ -122,4 +121,4 @@ class Listener
 } // namespace service
 } // namespace icfp
 
-#endif // ICFP_SERVICE_FEDERATION_TRANSPORT_HH
+#endif // ICFP_SERVICE_TRANSPORT_HH

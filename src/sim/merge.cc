@@ -154,9 +154,9 @@ shardName(const ShardSpec &shard)
            std::to_string(shard.count);
 }
 
-/** "shard 2/3 (from peer-a.csv)" — merge errors name the offending
- *  input, not just its coordinates, so a failed N-way federation merge
- *  points at the peer/file to inspect. */
+/** "shard 2/3 (from host-a.csv)" — merge errors name the offending
+ *  input, not just its coordinates, so a failed N-way merge points at
+ *  the file to inspect. */
 std::string
 sourceOf(const ShardArtifact &a)
 {

@@ -87,10 +87,9 @@ struct ShardArtifact
     bool isJson = false;
     std::string csvHeader;         ///< CSV schema line (CSV only)
     std::vector<std::string> rows; ///< verbatim rows, grid order
-    /** Where the artifact came from (parseShardArtifact's @p what — a
-     *  file path, or "peer host:port slice 2/3" in the federation
-     *  coordinator), so every merge-time validation failure names the
-     *  offending input, not just its shard coordinates. */
+    /** Where the artifact came from (parseShardArtifact's @p what,
+     *  usually a file path), so every merge-time validation failure
+     *  names the offending input, not just its shard coordinates. */
     std::string source;
 };
 

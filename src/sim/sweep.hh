@@ -169,9 +169,7 @@ class SpanLog; // common/metrics.hh
  * so a cancelled sweep stops within one simulate() call and leaves the
  * engine fully reusable — traces already generated stay cached, and
  * the trace store is never left with a partial file (its writes are
- * atomic). This flag is the groundwork for the federation item's
- * straggler re-dispatch: a re-dispatched row's original owner is
- * cancelled exactly this way.
+ * atomic).
  */
 class SweepCancelled : public std::runtime_error
 {

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -206,8 +208,12 @@ TEST_F(DurableFileTest, FsyncFailureFailsAndCleansUp)
     ASSERT_TRUE(fault::armSpec("test.fsync:1"));
     const std::string path = dir_ + "/out.bin";
     std::string error;
+    // A stale errno must not leak into the report: an injected fault
+    // is an I/O error.
+    errno = ENOENT;
     EXPECT_FALSE(writeFileDurable(path, "payload", "test", &error));
     EXPECT_NE(error.find("fsync"), std::string::npos);
+    EXPECT_NE(error.find(std::strerror(EIO)), std::string::npos) << error;
     EXPECT_FALSE(fs::exists(path));
     EXPECT_EQ(countTempFiles(dir_), 0u);
 }
@@ -218,8 +224,10 @@ TEST_F(DurableFileTest, RenameFailureFailsAndCleansUp)
     ASSERT_TRUE(writeFileDurable(path, "original", "test"));
     ASSERT_TRUE(fault::armSpec("test.rename:1"));
     std::string error;
+    errno = ENOENT;
     EXPECT_FALSE(writeFileDurable(path, "replacement", "test", &error));
     EXPECT_NE(error.find("rename"), std::string::npos);
+    EXPECT_NE(error.find(std::strerror(EIO)), std::string::npos) << error;
     // The destination keeps its previous content untouched.
     EXPECT_EQ(readAll(path), "original");
     EXPECT_EQ(countTempFiles(dir_), 0u);

@@ -2,8 +2,8 @@
  * @file
  * Unit tests for the observability registry (src/common/metrics.hh):
  * counter/gauge/histogram semantics, deterministic exposition,
- * concurrent exactness, the parse/relabel/merge rollup plumbing, and
- * the span log -> Chrome trace renderer.
+ * concurrent exactness, the exposition parse/render plumbing, and the
+ * span log -> Chrome trace renderer.
  *
  * The registry is a process-wide singleton shared by every TEST in
  * this binary, so each test uses its own metric names (prefix `tm_`)
@@ -273,7 +273,7 @@ TEST(EscapeLabelValue, EscapesQuotesBackslashesNewlines)
 }
 
 // ------------------------------------------------------------------
-// Parse / relabel / merge (the fleet-rollup plumbing)
+// Parse / render (the --json exposition plumbing)
 
 TEST(ParseExposition, RoundTripsRenderedText)
 {
@@ -323,68 +323,12 @@ TEST(ParseExposition, SampleWithoutTypeBecomesUntyped)
     EXPECT_EQ(parsed[0].samples[0].second, 7);
 }
 
-TEST(AddLabel, InjectsAsFirstLabelBareAndLabelled)
-{
-    std::vector<ExpositionFamily> families =
-        metrics::parseExposition("# TYPE tm_l counter\n"
-                                 "tm_l 1\n"
-                                 "tm_l{bench=\"mcf\"} 2\n");
-    metrics::addLabelToFamilies(&families, "peer", "host:9");
-    ASSERT_EQ(families[0].samples.size(), 2u);
-    EXPECT_EQ(families[0].samples[0].first, "tm_l{peer=\"host:9\"}");
-    EXPECT_EQ(families[0].samples[1].first,
-              "tm_l{peer=\"host:9\",bench=\"mcf\"}");
-}
-
-TEST(MergeExpositions, PeerSamplesGainLabelsAndFamiliesMerge)
-{
-    const std::string local = "# TYPE tm_jobs counter\n"
-                              "tm_jobs 3\n";
-    const std::string peer_a = "# TYPE tm_jobs counter\n"
-                               "tm_jobs 5\n"
-                               "# TYPE tm_peer_only gauge\n"
-                               "tm_peer_only 8\n";
-    const std::string peer_b = "# TYPE tm_jobs counter\n"
-                               "tm_jobs 2\n";
-
-    const std::string merged = metrics::mergeExpositions(
-        local, {{"hostA:1", peer_a}, {"hostB:2", peer_b}});
-
-    // One tm_jobs family: local sample unlabelled and first, then the
-    // peers in the given order.
-    const size_t local_at = merged.find("tm_jobs 3\n");
-    const size_t a_at = merged.find("tm_jobs{peer=\"hostA:1\"} 5\n");
-    const size_t b_at = merged.find("tm_jobs{peer=\"hostB:2\"} 2\n");
-    ASSERT_NE(local_at, std::string::npos);
-    ASSERT_NE(a_at, std::string::npos);
-    ASSERT_NE(b_at, std::string::npos);
-    EXPECT_LT(local_at, a_at);
-    EXPECT_LT(a_at, b_at);
-
-    // A family only a peer exports keeps its TYPE from that peer.
-    EXPECT_NE(merged.find("# TYPE tm_peer_only gauge"),
-              std::string::npos);
-    EXPECT_NE(merged.find("tm_peer_only{peer=\"hostA:1\"} 8"),
-              std::string::npos);
-
-    // The merge is itself a valid exposition: re-parse and re-render.
-    EXPECT_EQ(metrics::renderExpositionText(
-                  metrics::parseExposition(merged)),
-              merged);
-}
-
-TEST(MergeExpositions, NoPeersIsNormalizedLocal)
-{
-    const std::string local = "# TYPE tm_solo counter\ntm_solo 1\n";
-    EXPECT_EQ(metrics::mergeExpositions(local, {}), local);
-}
-
 TEST(ExpositionTextToJson, ConvertsSamples)
 {
     const std::string json = metrics::expositionTextToJson(
         "# TYPE tm_j counter\n"
-        "tm_j{peer=\"h:1\"} 6\n");
-    EXPECT_NE(json.find("\"tm_j{peer=\\\"h:1\\\"}\": 6"),
+        "tm_j{bench=\"mcf\"} 6\n");
+    EXPECT_NE(json.find("\"tm_j{bench=\\\"mcf\\\"}\": 6"),
               std::string::npos);
 }
 

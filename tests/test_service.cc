@@ -37,8 +37,7 @@
 #include "common/fault_inject.hh"
 #include "common/metrics.hh"
 #include "service/client.hh"
-#include "service/federation/peer_pool.hh"
-#include "service/federation/transport.hh"
+#include "service/transport.hh"
 #include "service/protocol.hh"
 #include "service/result_cache.hh"
 #include "service/server.hh"
@@ -126,7 +125,7 @@ TEST(Protocol, MalformedFramesAreRejected)
         "{\"k\":\"no type field\"}",
         "{\"type\":7}", // type must be a string
         "{1:\"unquoted key\"}",
-        // Federation fields obey the same flat string/uint discipline.
+        // Nested and negative values are refused whatever the field.
         "{\"type\":\"submit\",\"shard\":{\"i\":1,\"n\":3}}",
         "{\"type\":\"submit\",\"shard\":1.5}",
         "{\"type\":\"status\",\"peers\":[\"a:1\",\"b:2\"]}",
@@ -1134,7 +1133,7 @@ TEST_F(ServiceTest, DaemonStatusFrameReportsQueueAndIdentity)
     EXPECT_EQ(idle.uintField("active", 99), 0u);
     EXPECT_EQ(idle.uintField("draining", 99), 0u);
     EXPECT_FALSE(idle.has("running_job"));
-    EXPECT_FALSE(idle.has("peers")); // not a coordinator
+    EXPECT_FALSE(idle.has("peers")); // no per-peer field groups
 
     // While a heavy job runs, the frame names it.
     const Frame ack =
@@ -1236,7 +1235,7 @@ TEST_F(ServiceTest, ShardSubmitsMergeByteIdenticallyToUnshardedSweep)
     server.start();
 
     // Two shard submits of the same request, stitched back through the
-    // same mergeShards() the coordinator uses.
+    // same mergeShards() `icfp-sim merge` uses.
     ServiceClient client(socket_);
     std::vector<ShardArtifact> parts;
     std::string whole_fp;
@@ -1269,332 +1268,6 @@ TEST_F(ServiceTest, ShardSubmitsMergeByteIdenticallyToUnshardedSweep)
 
     server.requestDrain();
     server.join();
-}
-
-// ------------------------------------------------------------ federation
-
-class FederationTest : public ServiceTest
-{
-  protected:
-    struct Peer
-    {
-        std::unique_ptr<Server> server;
-        std::string endpoint;
-    };
-
-    /** A peer daemon on its own socket/trace-dir; TCP by default. */
-    Peer makePeer(const std::string &name, bool tcp = true)
-    {
-        ServerOptions opts;
-        opts.socketPath = dir_ + "/" + name + ".sock";
-        opts.jobs = 2;
-        opts.queueDepth = 8;
-        opts.traceDir = dir_ + "/" + name + "-traces";
-        if (tcp)
-            opts.listenTcp = "127.0.0.1:0";
-        Peer peer;
-        peer.server = std::make_unique<Server>(opts);
-        peer.server->start();
-        peer.endpoint =
-            tcp ? peer.server->tcpEndpoint() : opts.socketPath;
-        return peer;
-    }
-
-    /** A coordinator on the fixture socket, waiting for @p min_healthy
-     *  peers before returning (0 = don't wait). */
-    std::unique_ptr<Server>
-    makeCoordinator(std::vector<std::string> peers, size_t min_healthy)
-    {
-        ServerOptions opts = options();
-        opts.peers = std::move(peers);
-        auto server = std::make_unique<Server>(opts);
-        server->start();
-        if (min_healthy) {
-            EXPECT_TRUE(server->peerPool()->waitHealthy(
-                min_healthy, std::chrono::seconds(20)));
-        }
-        return server;
-    }
-
-    static void drain(Server &server)
-    {
-        server.requestDrain();
-        server.join();
-    }
-};
-
-TEST_F(FederationTest, CoordinatorMergesPeerSlicesByteIdentically)
-{
-    Peer peer1 = makePeer("peer1");               // TCP
-    Peer peer2 = makePeer("peer2", /*tcp=*/false); // Unix: mixed fleet
-    std::unique_ptr<Server> coord =
-        makeCoordinator({peer1.endpoint, peer2.endpoint}, 2);
-
-    for (const std::string format : {"csv", "json"}) {
-        ServiceClient client(socket_);
-        const Frame ack = client.request(submitFrame(
-            "mcf,gzip,equake", "in-order,icfp", 3000, true, format));
-        ASSERT_EQ(ack.type(), "submitted") << format;
-        const Frame result = client.readFrame();
-        ASSERT_EQ(result.type(), "result") << format;
-        EXPECT_EQ(
-            result.stringField("payload"),
-            directSweep("mcf,gzip,equake", "in-order,icfp", 3000, format))
-            << format;
-    }
-
-    // The rows ran on the peers, not on the coordinator's engine.
-    EXPECT_EQ(coord->engine().replays(), 0u);
-    EXPECT_GT(peer1.server->engine().replays(), 0u);
-    EXPECT_GT(peer2.server->engine().replays(), 0u);
-
-    // The coordinator's status frame carries per-peer health.
-    ServiceClient client(socket_);
-    const Frame status = client.request(Frame("status"));
-    ASSERT_EQ(status.type(), "status");
-    ASSERT_EQ(status.uintField("peers", 0), 2u);
-    for (const char *key : {"peer0", "peer0_state", "peer0_rtt_us",
-                            "peer1", "peer1_state"})
-        EXPECT_TRUE(status.has(key)) << key;
-    EXPECT_EQ(status.stringField("peer0_state"), "healthy");
-    EXPECT_EQ(status.stringField("peer1_state"), "healthy");
-
-    drain(*coord);
-    drain(*peer1.server);
-    drain(*peer2.server);
-}
-
-TEST_F(FederationTest, AllPeersDownDegradesToLocalByteIdentically)
-{
-    // Reserve a port that nothing answers on by binding and closing it.
-    std::string dead_spec;
-    {
-        Listener doomed = Listener::listenTcp("127.0.0.1:0");
-        dead_spec = doomed.boundSpec();
-    }
-    std::unique_ptr<Server> coord = makeCoordinator({dead_spec}, 0);
-
-    ServiceClient client(socket_);
-    const Frame ack = client.request(
-        submitFrame("mcf,gzip", "in-order,icfp", 3000, true));
-    ASSERT_EQ(ack.type(), "submitted");
-    const Frame result = client.readFrame();
-    ASSERT_EQ(result.type(), "result");
-    EXPECT_EQ(result.stringField("payload"),
-              directSweep("mcf,gzip", "in-order,icfp", 3000));
-    EXPECT_GT(coord->engine().replays(), 0u); // the coordinator IS the fleet
-    drain(*coord);
-}
-
-TEST_F(FederationTest, MismatchedFingerprintPeerIsRefusedNeverDispatched)
-{
-    // A fake peer whose hello carries a foreign registry fingerprint:
-    // a daemon built from different simulator semantics. Its rows must
-    // never enter a merge.
-    Listener fake = Listener::listenTcp("127.0.0.1:0");
-    const std::string fake_spec = fake.boundSpec();
-    std::atomic<unsigned> submits_seen{0};
-    std::thread imposter([&] {
-        while (true) {
-            const int fd = ::accept(fake.fd(), nullptr, nullptr);
-            if (fd < 0)
-                return; // listener closed: test over
-            try {
-                Frame hello("hello");
-                hello.addUint("proto", kProtocolVersion);
-                hello.addUint("sim", 9999);
-                hello.addString("fp", "00000000deadbeef");
-                writeFrame(fd, hello);
-                std::string buffer;
-                while (const std::optional<Frame> frame =
-                           readFrame(fd, &buffer, 2000)) {
-                    if (frame->type() == "submit")
-                        ++submits_seen;
-                    writeFrame(fd, errorFrame("imposter"));
-                }
-            } catch (...) {
-            }
-            ::close(fd);
-        }
-    });
-
-    std::unique_ptr<Server> coord = makeCoordinator({fake_spec}, 0);
-    PeerPool *pool = coord->peerPool();
-    ASSERT_NE(pool, nullptr);
-    PeerState state = PeerState::Connecting;
-    for (int i = 0; i < 1000; ++i) {
-        state = pool->statuses()[0].state;
-        if (state == PeerState::Rejected)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    ASSERT_EQ(state, PeerState::Rejected);
-    EXPECT_EQ(pool->statuses()[0].fp, "00000000deadbeef");
-
-    // The daemon-status frame names the refusal.
-    {
-        ServiceClient client(socket_);
-        const Frame status = client.request(Frame("status"));
-        ASSERT_EQ(status.type(), "status");
-        EXPECT_EQ(status.stringField("peer0_state"), "rejected");
-        EXPECT_NE(status.stringField("peer0_error")
-                      .find("fingerprint mismatch"),
-                  std::string::npos);
-    }
-
-    // A submit degrades to local — and the imposter never saw a slice.
-    ServiceClient client(socket_);
-    const Frame ack = client.request(
-        submitFrame("mcf,gzip", "in-order,icfp", 3000, true));
-    ASSERT_EQ(ack.type(), "submitted");
-    const Frame result = client.readFrame();
-    ASSERT_EQ(result.type(), "result");
-    EXPECT_EQ(result.stringField("payload"),
-              directSweep("mcf,gzip", "in-order,icfp", 3000));
-    EXPECT_EQ(submits_seen.load(), 0u);
-
-    drain(*coord);
-    // shutdown() (not just close) is what actually wakes a thread
-    // blocked in accept() on the listener.
-    ::shutdown(fake.fd(), SHUT_RDWR);
-    fake.close();
-    imposter.join();
-}
-
-TEST_F(FederationTest, PeerDeathMidCollectRedispatchesByteIdentically)
-{
-    // A fake peer that accepts the slice, answers `submitted`, then
-    // hangs up — the remote-death-mid-job shape. The coordinator must
-    // re-dispatch the slice and still merge byte-identical artifacts.
-    Listener fake = Listener::listenTcp("127.0.0.1:0");
-    const std::string fake_spec = fake.boundSpec();
-    std::atomic<bool> fake_died{false};
-    // Thread per connection: the coordinator holds a health-poll
-    // session open while the dispatch session arrives on a second one.
-    const auto session = [&](int fd) {
-        try {
-            writeFrame(fd, helloFrame());
-            std::string buffer;
-            while (const std::optional<Frame> frame =
-                       readFrame(fd, &buffer, 5000)) {
-                if (frame->type() == "ping") {
-                    Frame pong("pong");
-                    pong.addUint("proto", kProtocolVersion);
-                    writeFrame(fd, pong);
-                } else if (frame->type() == "status") {
-                    Frame status("status");
-                    status.addUint("proto", kProtocolVersion);
-                    status.addString(
-                        "fp", fingerprintHex(registryFingerprint()));
-                    status.addUint("queue_depth", 8);
-                    status.addUint("active", 0);
-                    writeFrame(fd, status);
-                } else if (frame->type() == "submit") {
-                    Frame ack("submitted");
-                    ack.addUint("job", 1);
-                    writeFrame(fd, ack);
-                    fake_died = true;
-                    break; // die abruptly, mid-job
-                }
-            }
-        } catch (...) {
-        }
-        ::close(fd);
-    };
-    std::vector<std::thread> sessions;
-    std::mutex sessions_mutex;
-    std::thread doomed([&] {
-        while (true) {
-            const int fd = ::accept(fake.fd(), nullptr, nullptr);
-            if (fd < 0)
-                return;
-            std::lock_guard<std::mutex> lock(sessions_mutex);
-            sessions.emplace_back(session, fd);
-        }
-    });
-
-    Peer survivor = makePeer("survivor");
-    std::unique_ptr<Server> coord =
-        makeCoordinator({fake_spec, survivor.endpoint}, 2);
-
-    ServiceClient client(socket_);
-    const Frame ack = client.request(
-        submitFrame("mcf,gzip,equake", "in-order,icfp", 3000, true));
-    ASSERT_EQ(ack.type(), "submitted");
-    const Frame result = client.readFrame();
-    ASSERT_EQ(result.type(), "result");
-    EXPECT_EQ(result.stringField("payload"),
-              directSweep("mcf,gzip,equake", "in-order,icfp", 3000));
-    EXPECT_TRUE(fake_died.load()); // the failure path actually ran
-
-    drain(*coord);
-    drain(*survivor.server);
-    ::shutdown(fake.fd(), SHUT_RDWR); // wakes the blocked accept()
-    fake.close();
-    doomed.join();
-    for (std::thread &t : sessions)
-        t.join();
-}
-
-/** Federation tests that arm the process-global fault registry. */
-class FederationFaultTest : public FederationTest
-{
-  protected:
-    void SetUp() override
-    {
-        FederationTest::SetUp();
-        fault::disarmAll();
-    }
-    void TearDown() override
-    {
-        fault::disarmAll();
-        FederationTest::TearDown();
-    }
-};
-
-TEST_F(FederationFaultTest, DispatchAndCollectFaultsRecoverByteIdentically)
-{
-    Peer peer1 = makePeer("peer1");
-    Peer peer2 = makePeer("peer2");
-    std::unique_ptr<Server> coord =
-        makeCoordinator({peer1.endpoint, peer2.endpoint}, 2);
-
-    // One slice's first dispatch throws before any bytes move; the
-    // slice lands elsewhere (the other peer or the local engine) and
-    // the artifact must not show a seam.
-    ASSERT_TRUE(fault::armSpec("federation.dispatch:1"));
-    {
-        ServiceClient client(socket_);
-        const Frame ack = client.request(
-            submitFrame("mcf,gzip,equake", "in-order,icfp", 3000, true));
-        ASSERT_EQ(ack.type(), "submitted");
-        const Frame result = client.readFrame();
-        ASSERT_EQ(result.type(), "result");
-        EXPECT_EQ(result.stringField("payload"),
-                  directSweep("mcf,gzip,equake", "in-order,icfp", 3000));
-    }
-    EXPECT_EQ(fault::firedCount("federation.dispatch"), 1u);
-    fault::disarmAll();
-
-    // Same for a failure after the payload arrived but before it was
-    // accepted (validation-stage death).
-    ASSERT_TRUE(fault::armSpec("federation.collect:1"));
-    {
-        ServiceClient client(socket_);
-        const Frame ack = client.request(submitFrame(
-            "mcf,gzip,equake", "in-order,icfp", 3000, true, "json"));
-        ASSERT_EQ(ack.type(), "submitted");
-        const Frame result = client.readFrame();
-        ASSERT_EQ(result.type(), "result");
-        EXPECT_EQ(result.stringField("payload"),
-                  directSweep("mcf,gzip,equake", "in-order,icfp", 3000,
-                              "json"));
-    }
-    EXPECT_EQ(fault::firedCount("federation.collect"), 1u);
-
-    drain(*coord);
-    drain(*peer1.server);
-    drain(*peer2.server);
 }
 
 // --------------------------------------------------------- observability
@@ -1697,6 +1370,29 @@ TEST_F(ServiceTest, MetricsFrameAnswersTextAndJsonAndRejectsBadArgs)
     Frame bad_scope("metrics");
     bad_scope.addString("scope", "galaxy");
     EXPECT_EQ(client.request(bad_scope).type(), "error");
+
+    // Both valid scopes answer with this daemon's own exposition: the
+    // same families, kinds and sample names (values may move between
+    // scrapes, the shape may not).
+    const auto shape = [&](const std::string &scope) {
+        Frame scrape("metrics");
+        scrape.addString("scope", scope);
+        const Frame reply = client.request(scrape);
+        EXPECT_EQ(reply.type(), "metrics") << scope;
+        std::vector<std::string> out;
+        for (const metrics::ExpositionFamily &family :
+             metrics::parseExposition(reply.stringField("payload"))) {
+            out.push_back("# " + family.base + " " + family.kind);
+            for (const auto &sample : family.samples)
+                out.push_back(sample.first);
+        }
+        return out;
+    };
+    const std::vector<std::string> local = shape("local");
+    EXPECT_NE(std::find(local.begin(), local.end(),
+                        "# icfp_jobs_completed counter"),
+              local.end());
+    EXPECT_EQ(shape("fleet"), local);
     EXPECT_EQ(client.request(Frame("ping")).type(), "pong");
 
     server.requestDrain();
@@ -1833,54 +1529,6 @@ TEST_F(ServiceTest, JobTracePublishedValidAndArtifactUnchanged)
 
     server.requestDrain();
     server.join();
-}
-
-TEST_F(FederationTest, FleetMetricsRollupLabelsPeerSamples)
-{
-    Peer peer1 = makePeer("peer1");
-    Peer peer2 = makePeer("peer2");
-    std::unique_ptr<Server> coord =
-        makeCoordinator({peer1.endpoint, peer2.endpoint}, 2);
-
-    ServiceClient client(socket_);
-    const Frame ack = client.request(
-        submitFrame("mcf,gzip", "in-order,icfp", 3000, true));
-    ASSERT_EQ(ack.type(), "submitted");
-    ASSERT_EQ(client.readFrame().type(), "result");
-
-    // scope=local answers only for this daemon: no peer-labelled job
-    // counters (the peer label only otherwise appears on the pool's
-    // RTT histograms).
-    Frame local("metrics");
-    local.addString("scope", "local");
-    const Frame local_reply = client.request(local);
-    ASSERT_EQ(local_reply.type(), "metrics");
-    EXPECT_EQ(local_reply.stringField("payload")
-                  .find("icfp_jobs_submitted{peer="),
-              std::string::npos);
-
-    // The fleet rollup scrapes both peers over their real transports
-    // and labels every peer sample with its spec.
-    const Frame fleet_reply = client.request(Frame("metrics"));
-    ASSERT_EQ(fleet_reply.type(), "metrics");
-    const std::string fleet = fleet_reply.stringField("payload");
-    for (const std::string &spec : {peer1.endpoint, peer2.endpoint}) {
-        EXPECT_NE(fleet.find("icfp_jobs_submitted{peer=\"" + spec +
-                             "\"}"),
-                  std::string::npos)
-            << spec;
-        EXPECT_NE(fleet.find("icfp_replays{peer=\"" + spec + "\"}"),
-                  std::string::npos)
-            << spec;
-    }
-    // The rollup is itself a valid, deterministic exposition.
-    EXPECT_EQ(
-        metrics::renderExpositionText(metrics::parseExposition(fleet)),
-        fleet);
-
-    drain(*coord);
-    drain(*peer1.server);
-    drain(*peer2.server);
 }
 
 } // namespace

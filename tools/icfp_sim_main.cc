@@ -22,17 +22,13 @@
  *   submit  --socket PATH [--wait]    submit a sweep job to a daemon
  *   status  --socket PATH [--job N] [--json]   query one job's state,
  *                                or (without --job) the daemon itself:
- *                                queue occupancy and per-peer health
+ *                                identity and queue occupancy
  *   result  --socket PATH --job N     fetch one job's artifact
  *   cancel  --socket PATH --job N     cancel a queued or running job
  *   ping    --socket PATH        handshake + round-trip latency check
  *   metrics --socket PATH [--json]    scrape the daemon's metrics
  *                                registry (Prometheus text exposition,
- *                                or the flat JSON form with --json); on
- *                                a federation coordinator the scrape is
- *                                the fleet rollup — every healthy
- *                                peer's metrics merged in with a
- *                                peer="<spec>" label
+ *                                or the flat JSON form with --json)
  *
  * Common options:
  *   --insts N        dynamic instruction budget (default 200000)
@@ -61,7 +57,11 @@
  *                    ICFP_TRACE_DIR environment variable)
  *
  * Service options (see src/service/server.hh):
- *   --socket PATH    Unix-domain socket the daemon serves / clients use
+ *   --socket PATH    Unix-domain socket the daemon serves / clients use;
+ *                    client verbs also accept a TCP host:port (see
+ *                    src/service/transport.hh)
+ *   --listen-tcp H:P serve: also listen on TCP (port 0 = ephemeral,
+ *                    the bound port is logged at startup)
  *   --queue-depth K  serve: max queued+running jobs before `busy` (8)
  *   --jobs N         serve: sweep-engine worker threads
  *   --cache-dir DIR  serve: persistent result-cache directory (the
@@ -84,7 +84,7 @@
  *                    Prometheus text format
  *   --job-trace-dir DIR  serve: publish a Chrome-trace JSON of every
  *                    traced job's phase spans (queue wait, cache probe,
- *                    trace gen, replay, report emit / federation) as
+ *                    trace gen, replay, report emit) as
  *                    DIR/job-<id>.trace.json — open in chrome://tracing
  *                    or Perfetto. Observability only: artifacts stay
  *                    byte-identical with tracing on.
@@ -94,14 +94,9 @@
  *   --format csv|json (default csv); the fetched artifact is
  *   byte-identical to `icfp-sim sweep` with the same options.
  *
- * Federation options (serve only; see src/service/federation/):
- *   --listen-tcp H:P daemon also listens on TCP (port 0 = ephemeral,
- *                    the bound port is logged at startup)
- *   --peers A,B,...  coordinator mode: slice whole-grid submits across
- *                    these peer daemons (host:port or socket paths) and
- *                    merge the shard artifacts byte-identically
- *   --slice-deadline-sec N   straggler deadline per dispatched slice
- *                    (0 = none); an expired slice is re-dispatched
+ * A grid split across processes or hosts: run `sweep --shard i/N` once
+ * per process (any host), copy the shard artifacts together, and
+ * `merge` them — the result is byte-identical to one unsharded sweep.
  *
  * Perf options (see sim/perf_harness.hh):
  *   --quick          trimmed grid / budget for CI smoke runs
@@ -188,11 +183,7 @@ struct Options
     unsigned retries = 0;
     bool retriesSet = false;
 
-    // Federation options (serve only).
-    std::string peers;     ///< comma list of peer endpoints
-    std::string listenTcp; ///< extra TCP listener, "host:port"
-    uint64_t sliceDeadlineSec = 0;
-    bool sliceDeadlineSet = false;
+    std::string listenTcp; ///< serve: extra TCP listener, "host:port"
     bool statusJson = false; ///< status/metrics --json: machine form
 
     // Observability options.
@@ -327,14 +318,6 @@ parseArgs(int argc, char **argv, Options *opt)
             opt->timeoutSec =
                 static_cast<unsigned>(std::strtoul(next(), nullptr, 0));
             opt->timeoutSet = true;
-        } else if (arg == "--peers") {
-            opt->peers = next();
-            if (opt->peers.empty()) {
-                std::fprintf(stderr,
-                             "--peers requires a non-empty endpoint "
-                             "list\n");
-                return false;
-            }
         } else if (arg == "--listen-tcp") {
             opt->listenTcp = next();
             if (opt->listenTcp.empty()) {
@@ -342,9 +325,6 @@ parseArgs(int argc, char **argv, Options *opt)
                              "--listen-tcp requires host:port\n");
                 return false;
             }
-        } else if (arg == "--slice-deadline-sec") {
-            opt->sliceDeadlineSec = std::strtoull(next(), nullptr, 0);
-            opt->sliceDeadlineSet = true;
         } else if (arg == "--json") {
             opt->statusJson = true;
         } else if (arg == "--job-trace-dir") {
@@ -978,8 +958,6 @@ cmdServe(const Options &opt)
     sopt.cacheDir = opt.cacheDir;
     sopt.deadlineSec = opt.deadlineSec;
     sopt.listenTcp = opt.listenTcp;
-    sopt.peers = splitCommaList(opt.peers);
-    sopt.sliceDeadlineSec = opt.sliceDeadlineSec;
     sopt.jobTraceDir = opt.jobTraceDir;
     service::Server server(std::move(sopt));
 
@@ -1116,8 +1094,8 @@ cmdSubmit(const Options &opt)
 }
 
 /** `status` without --job: the daemon's own status frame — queue
- *  occupancy, identity, per-peer federation health. --json dumps the
- *  frame verbatim (machine-readable, stable field names). */
+ *  occupancy and identity. --json dumps the frame verbatim
+ *  (machine-readable, stable field names). */
 int
 cmdDaemonStatus(const Options &opt)
 {
@@ -1153,24 +1131,6 @@ cmdDaemonStatus(const Options &opt)
             std::printf("running: job %llu\n",
                         (unsigned long long)response.uintField(
                             "running_job", 0));
-        }
-        const uint64_t peers = response.uintField("peers", 0);
-        for (uint64_t i = 0; i < peers; ++i) {
-            const std::string p = "peer" + std::to_string(i);
-            const std::string error = response.stringField(p + "_error");
-            std::printf("peer %s: %s rtt=%lluus inflight=%llu "
-                        "active=%llu/%llu%s%s\n",
-                        response.stringField(p).c_str(),
-                        response.stringField(p + "_state").c_str(),
-                        (unsigned long long)response.uintField(
-                            p + "_rtt_us", 0),
-                        (unsigned long long)response.uintField(
-                            p + "_inflight", 0),
-                        (unsigned long long)response.uintField(
-                            p + "_active", 0),
-                        (unsigned long long)response.uintField(
-                            p + "_depth", 0),
-                        error.empty() ? "" : " — ", error.c_str());
         }
         return 0;
     } catch (const service::ProtocolError &e) {
@@ -1409,17 +1369,8 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--queue-depth only applies to 'serve'\n");
         return 1;
     }
-    if (!opt.peers.empty() && opt.command != "serve") {
-        std::fprintf(stderr, "--peers only applies to 'serve'\n");
-        return 1;
-    }
     if (!opt.listenTcp.empty() && opt.command != "serve") {
         std::fprintf(stderr, "--listen-tcp only applies to 'serve'\n");
-        return 1;
-    }
-    if (opt.sliceDeadlineSet && opt.command != "serve") {
-        std::fprintf(stderr,
-                     "--slice-deadline-sec only applies to 'serve'\n");
         return 1;
     }
     if (opt.statusJson && opt.command != "status" &&

@@ -13,7 +13,7 @@ Inputs are the machine-readable artifacts the harnesses already emit:
   * metrics JSON dumps (``icfp-sim metrics --json``) -> a per-scheme
     replay-latency histogram from the ``icfp_replay_duration_us``
     bucket samples, one bar group per latency bucket, one bar per
-    scheme (bench and peer labels are summed away).
+    scheme (bench labels are summed away).
 
 Standard library only (CI runs this right after the smoke sweeps), and
 deterministic: the same artifact bytes render the same SVG bytes.
@@ -394,8 +394,8 @@ def plot_replay_latency(path, out_dir):
     if not isinstance(data, dict):
         raise SystemExit(f"{path}: not a flat metrics JSON object")
 
-    # Cumulative bucket counts summed over bench (and, in a fleet
-    # rollup, peer) labels; cumulative sums stay cumulative under +.
+    # Cumulative bucket counts summed over bench labels; cumulative
+    # sums stay cumulative under +.
     cumulative, les = {}, set()
     for name, value in data.items():
         base, labels = parse_sample_name(name)
@@ -446,7 +446,7 @@ def plot_replay_latency(path, out_dir):
     title = os.path.splitext(os.path.basename(path))[0]
     svg.text(margin_l, 24, f"replay latency by scheme — {title}", 15, INK)
     svg.text(margin_l, 42, "replays per duration bucket "
-             "(icfp_replay_duration_us; benches and peers summed)",
+             "(icfp_replay_duration_us; benches summed)",
              11, INK_SOFT)
 
     ticks = nice_ticks(0.0, hi * 1.1 if hi else 1.0)
